@@ -2,9 +2,10 @@
 // in-situ analysis plane on 1/2/4/8 pool workers, checks the bit-identity
 // contract (science_fingerprint byte-equal across every thread count), and
 // writes bench_outputs/campaign_parallel.json with wall time plus a
-// deterministic virtual-speedup model of the per-tick pipeline schedule.
-// bench_smoke.sh validates the JSON; wall scaling is host-dependent and
-// informational (the tick is a small slice of total campaign wall time).
+// deterministic model of the per-tick block schedule
+// (schedule_model_speedup). bench_smoke.sh validates the JSON; wall scaling
+// is host-dependent and informational (the tick is a small slice of total
+// campaign wall time).
 
 #include <algorithm>
 #include <cstdio>
@@ -31,37 +32,33 @@ std::string fingerprint_hex(const util::Bytes& bytes) {
   return buf;
 }
 
-// Relative task costs in the tick pipeline, from the work each stage does
-// per sim: stepping regenerates 22 bead positions; analysis runs the RDF
-// pair loops (4 species x 4 heads x 6 protein beads) plus the candidate and
-// descriptor draws. Only the ratio matters to the schedule.
+// Relative per-sim costs in the tick's fused pass, from the work each sim
+// does: stepping regenerates 22 bead positions; analysis runs the RDF pair
+// loops (4 species x 4 heads x 6 protein beads) plus the candidate and
+// descriptor draws. Only the ratio to the fold matters to the schedule.
 constexpr double kStepCostPerSim = 22.0;
 constexpr double kAnalysisCostPerSim = 96.0;
 
-/// Deterministic speedup model for the tick schedule: per tick, stepping
-/// tasks (granularity kInSituChunk) and analysis tasks (granularity
-/// kInSituSubBlock) are greedily list-scheduled onto T workers in pipeline
-/// order — the two stages overlap, which is exactly what pipeline_two_stage
-/// buys. virtual_speedup = sum(serial) / sum(makespan) over all ticks;
-/// depends only on (tick_sims, T), so it is identical on every host.
-double virtual_speedup(const std::vector<std::uint32_t>& tick_sims,
-                       int threads) {
+/// Deterministic model of the tick schedule: per tick, the fused pass's
+/// blocks (kInSituSubBlock sims, each costing step plus analysis) are
+/// greedily list-scheduled onto T workers in block order.
+/// schedule_model_speedup = sum(serial) / sum(makespan) over all ticks; it
+/// depends only on (tick_sims, T), so it is identical on every host. It is a
+/// model of the schedule, not a measured speedup (wall_s is the measurement).
+double schedule_model_speedup(const std::vector<std::uint32_t>& tick_sims,
+                              int threads) {
   double serial = 0.0, makespan = 0.0;
   std::vector<double> worker(static_cast<std::size_t>(threads), 0.0);
   for (const std::uint32_t n : tick_sims) {
     if (n == 0) continue;
     std::fill(worker.begin(), worker.end(), 0.0);
-    auto submit = [&](double cost) {
+    for (std::size_t lo = 0; lo < n; lo += wm::kInSituSubBlock) {
+      const std::size_t sims =
+          std::min<std::size_t>(wm::kInSituSubBlock, n - lo);
+      const double cost =
+          (kStepCostPerSim + kAnalysisCostPerSim) * static_cast<double>(sims);
       serial += cost;
       *std::min_element(worker.begin(), worker.end()) += cost;
-    };
-    for (std::size_t lo = 0; lo < n; lo += wm::kInSituChunk) {
-      const std::size_t chunk = std::min<std::size_t>(wm::kInSituChunk, n - lo);
-      submit(kStepCostPerSim * static_cast<double>(chunk));
-      for (std::size_t slo = 0; slo < chunk; slo += wm::kInSituSubBlock)
-        submit(kAnalysisCostPerSim *
-               static_cast<double>(
-                   std::min<std::size_t>(wm::kInSituSubBlock, chunk - slo)));
     }
     makespan += *std::max_element(worker.begin(), worker.end());
   }
@@ -70,7 +67,7 @@ double virtual_speedup(const std::vector<std::uint32_t>& tick_sims,
 
 struct Row {
   int threads;
-  double wall_s, virt;
+  double wall_s, model;
   bool identical;
   std::string fingerprint;
 };
@@ -81,15 +78,14 @@ int main(int argc, char** argv) {
   wm::CampaignConfig base = bench::campaign_config(argc, argv);
   base.seed = 7;
   std::printf("=== campaign maintain tick: in-situ thread sweep ===\n");
-  std::printf("(%s schedule, chunk %zu, sub-block %zu)\n\n",
-              bench::scale_label(argc, argv), wm::kInSituChunk,
-              wm::kInSituSubBlock);
+  std::printf("(%s schedule, sub-block %zu)\n\n",
+              bench::scale_label(argc, argv), wm::kInSituSubBlock);
 
   std::vector<Row> rows;
   std::string serial_fp;
   std::vector<std::uint32_t> serial_ticks;
   std::uint64_t analysis_frames = 0;
-  std::printf("%8s %12s %14s %10s\n", "threads", "wall s", "virt speedup",
+  std::printf("%8s %12s %14s %10s\n", "threads", "wall s", "model speedup",
               "identical");
   for (const int threads : {1, 2, 4, 8}) {
     util::ThreadPool pool(static_cast<std::size_t>(threads));
@@ -106,10 +102,10 @@ int main(int argc, char** argv) {
       analysis_frames = result.analysis_frames;
     }
     const bool identical = fp == serial_fp;
-    const double virt = virtual_speedup(serial_ticks, threads);
-    std::printf("%8d %12.3f %14.2f %10s\n", threads, wall_s, virt,
+    const double model = schedule_model_speedup(serial_ticks, threads);
+    std::printf("%8d %12.3f %14.2f %10s\n", threads, wall_s, model,
                 identical ? "yes" : "NO");
-    rows.push_back({threads, wall_s, virt, identical, fp});
+    rows.push_back({threads, wall_s, model, identical, fp});
   }
   std::printf("\n%llu frames analyzed across %zu ticks; fingerprint %s\n",
               static_cast<unsigned long long>(analysis_frames),
@@ -131,9 +127,9 @@ int main(int argc, char** argv) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"threads\": %d, \"wall_s\": %.3f, "
-                 "\"virtual_speedup\": %.3f, \"identical\": %s, "
+                 "\"schedule_model_speedup\": %.3f, \"identical\": %s, "
                  "\"fingerprint\": \"%s\"}%s\n",
-                 r.threads, r.wall_s, r.virt, r.identical ? "true" : "false",
+                 r.threads, r.wall_s, r.model, r.identical ? "true" : "false",
                  r.fingerprint.c_str(), i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

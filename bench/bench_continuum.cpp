@@ -3,8 +3,9 @@
 // kernels, checks the bit-identity contract (serialized frames byte-equal
 // across every thread count AND equal to the legacy kernels), and writes
 // bench_outputs/continuum_kernels.json with wall throughput plus a
-// deterministic virtual-speedup model. bench_smoke.sh validates the JSON;
-// wall scaling is host-dependent and informational.
+// deterministic block-schedule model (schedule_model_speedup).
+// bench_smoke.sh validates the JSON; wall scaling is host-dependent and
+// informational.
 
 #include <algorithm>
 #include <cstdio>
@@ -47,9 +48,10 @@ std::string fingerprint_hex(const util::Bytes& frame) {
 /// Deterministic speedup model for the block schedule: each barrier phase of
 /// one step (mu sweep, flux sweep, footprint stamps + fold, protein forces)
 /// contributes its per-block costs, greedily list-scheduled onto T workers
-/// in fixed block order. virtual_speedup = sum(serial) / sum(makespan).
+/// in fixed block order.
+/// schedule_model_speedup = sum(serial) / sum(makespan).
 /// Depends only on (grid, species, proteins, T) — same answer on any host.
-double virtual_speedup(int grid, int ns, int np, int threads) {
+double schedule_model_speedup(int grid, int ns, int np, int threads) {
   const auto n = static_cast<std::size_t>(grid);
   const auto p = static_cast<std::size_t>(np);
   auto phase = [threads](std::size_t count, std::size_t block,
@@ -77,7 +79,7 @@ double virtual_speedup(int grid, int ns, int np, int threads) {
 
 struct Row {
   int threads;
-  double wall_s, cells_per_s, virt;
+  double wall_s, cells_per_s, model;
   bool identical;
   std::string fingerprint;
 };
@@ -87,8 +89,9 @@ int run(bool small) {
   const int steps = small ? 8 : 20;
   const int ns = 14, np = 30;
   const auto cells = static_cast<double>(grid) * grid * ns;
+  const auto rows_n = static_cast<std::size_t>(grid);
   const std::size_t nblocks =
-      cont::detail::row_blocks(static_cast<std::size_t>(grid));
+      util::block_count(rows_n, cont::detail::row_block(rows_n));
   std::printf("=== continuum DDFT engine: thread sweep ===\n");
   std::printf("(grid=%d^2, %d species, %d proteins, %zu row blocks, "
               "%d steps%s)\n\n",
@@ -109,7 +112,7 @@ int run(bool small) {
   std::vector<Row> rows;
   double serial_s = 0.0;
   std::printf("%8s %12s %16s %14s %10s\n", "threads", "wall s/step",
-              "wall cells/s", "virt speedup", "identical");
+              "wall cells/s", "model speedup", "identical");
   for (const int threads : {1, 2, 4, 8}) {
     util::ThreadPool pool(static_cast<std::size_t>(threads));
     // A 1-worker pool takes the inline path; pass null to make that explicit.
@@ -121,11 +124,11 @@ int run(bool small) {
     if (threads == 1) serial_s = per_step;
     const std::string fp = fingerprint_hex(sim.serialize());
     const bool identical = fp == legacy_fp;
-    const double virt = virtual_speedup(grid, ns, np, threads);
+    const double model = schedule_model_speedup(grid, ns, np, threads);
     const double cps = per_step > 0 ? cells / per_step : 0.0;
     std::printf("%8d %12.6f %16.0f %14.2f %10s\n", threads, per_step, cps,
-                virt, identical ? "yes" : "NO");
-    rows.push_back({threads, per_step, cps, virt, identical, fp});
+                model, identical ? "yes" : "NO");
+    rows.push_back({threads, per_step, cps, model, identical, fp});
   }
   std::printf("\nlegacy kernels: %.6f s/step (engine serial %.6f, %.2fx); "
               "fingerprint %s\n",
@@ -152,9 +155,10 @@ int run(bool small) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"threads\": %d, \"wall_s_per_step\": %.9f, "
-                 "\"wall_cells_per_s\": %.1f, \"virtual_speedup\": %.3f, "
+                 "\"wall_cells_per_s\": %.1f, "
+                 "\"schedule_model_speedup\": %.3f, "
                  "\"identical\": %s, \"fingerprint\": \"%s\"}%s\n",
-                 r.threads, r.wall_s, r.cells_per_s, r.virt,
+                 r.threads, r.wall_s, r.cells_per_s, r.model,
                  r.identical ? "true" : "false", r.fingerprint.c_str(),
                  i + 1 < rows.size() ? "," : "");
   }

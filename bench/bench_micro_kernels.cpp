@@ -4,8 +4,9 @@
 // `--md-kernels [--small]` switches to the MD force-engine thread sweep
 // instead: it runs the flat CSR kernel at 1/2/4/8 pool workers, checks the
 // bit-identity contract, and writes bench_outputs/md_kernels.json with wall
-// throughput plus a deterministic virtual-speedup model (bench_smoke.sh
-// validates the JSON; wall scaling is host-dependent and informational).
+// throughput plus a deterministic block-schedule model
+// (schedule_model_speedup; bench_smoke.sh validates the JSON; wall scaling is
+// host-dependent and informational).
 
 #include <benchmark/benchmark.h>
 
@@ -211,12 +212,12 @@ double legacy_force_kernel(const md::TypeMatrixForceField& ff, md::System& s,
 /// Deterministic speedup model for the block schedule: per-block costs are
 /// the actual pair counts of the CSR rows in that block (plus the block's
 /// share of the reduction pass), greedily list-scheduled onto T workers in
-/// fixed block order. virtual_speedup = serial cost / makespan. Depends only
-/// on the list and T — same answer on any host.
-double virtual_speedup(const md::NeighborList& list, std::size_t n,
-                       int threads) {
+/// fixed block order. schedule_model_speedup = serial cost / makespan.
+/// Depends only on the list and T — same answer on any host.
+double schedule_model_speedup(const md::NeighborList& list, std::size_t n,
+                              int threads) {
   const std::size_t block = md::detail::kernel_block(n);
-  const std::size_t nblocks = md::detail::kernel_blocks(n);
+  const std::size_t nblocks = util::block_count(n, block);
   const auto& row_start = list.row_start();
   std::vector<double> cost(nblocks, 0.0);
   for (std::size_t b = 0; b < nblocks; ++b) {
@@ -249,7 +250,8 @@ int run_md_kernels(bool small) {
   md::NeighborList list(1.2, 0.3);
   list.build(ref);
   const std::size_t pairs = list.n_pairs();
-  const std::size_t nblocks = md::detail::kernel_blocks(ref.size());
+  const std::size_t nblocks =
+      util::block_count(ref.size(), md::detail::kernel_block(ref.size()));
   std::printf("=== MD force kernel: thread sweep ===\n");
   std::printf("(n=%d, %zu pairs, %zu blocks, %d reps%s)\n\n", n, pairs,
               nblocks, reps, small ? ", --small" : "");
@@ -275,13 +277,13 @@ int run_md_kernels(bool small) {
 
   struct Row {
     int threads;
-    double wall_s, wall_pairs_per_s, virt;
+    double wall_s, wall_pairs_per_s, model;
     bool identical;
   };
   std::vector<Row> rows;
   double flat_serial_s = 0.0;
   std::printf("%8s %12s %16s %14s %10s\n", "threads", "wall s/eval",
-              "wall pairs/s", "virt speedup", "identical");
+              "wall pairs/s", "model speedup", "identical");
   for (const int threads : {1, 2, 4, 8}) {
     util::ThreadPool pool(static_cast<std::size_t>(threads));
     // A 1-worker pool takes the inline path; pass null to make that explicit.
@@ -302,12 +304,12 @@ int run_md_kernels(bool small) {
         e == e_ref && s.force.size() == f_ref.size() &&
         std::memcmp(s.force.data(), f_ref.data(),
                     f_ref.size() * sizeof(md::Vec3)) == 0;
-    const double virt = virtual_speedup(list, ref.size(), threads);
+    const double model = schedule_model_speedup(list, ref.size(), threads);
     const double pps =
         per_eval > 0 ? static_cast<double>(pairs) / per_eval : 0.0;
     std::printf("%8d %12.6f %16.0f %14.2f %10s\n", threads, per_eval, pps,
-                virt, identical ? "yes" : "NO");
-    rows.push_back({threads, per_eval, pps, virt, identical});
+                model, identical ? "yes" : "NO");
+    rows.push_back({threads, per_eval, pps, model, identical});
   }
   std::printf("\nlegacy pair-order kernel: %.6f s/eval (flat serial %.6f, "
               "%.2fx)\n",
@@ -332,9 +334,10 @@ int run_md_kernels(bool small) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"threads\": %d, \"wall_s_per_eval\": %.9f, "
-                 "\"wall_pairs_per_s\": %.1f, \"virtual_speedup\": %.3f, "
+                 "\"wall_pairs_per_s\": %.1f, "
+                 "\"schedule_model_speedup\": %.3f, "
                  "\"identical\": %s}%s\n",
-                 r.threads, r.wall_s, r.wall_pairs_per_s, r.virt,
+                 r.threads, r.wall_s, r.wall_pairs_per_s, r.model,
                  r.identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }

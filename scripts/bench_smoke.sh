@@ -269,8 +269,8 @@ for r in rows:
     if r.get("wall_pairs_per_s", 0.0) <= 0.0:
         sys.exit(f"{sys.argv[1]}: non-positive wall throughput: {r}")
 eight = [r for r in rows if r["threads"] == 8][0]
-if eight.get("virtual_speedup", 0.0) < 3.0:
-    sys.exit(f"{sys.argv[1]}: virtual speedup at 8 threads below 3x: {eight}")
+if eight.get("schedule_model_speedup", 0.0) < 3.0:
+    sys.exit(f"{sys.argv[1]}: schedule model speedup at 8 threads below 3x: {eight}")
 EOF
   else
     grep -q '"identical": true' "$path" && ! grep -q '"identical": false' "$path"
@@ -309,8 +309,8 @@ for r in rows:
     if r.get("wall_cells_per_s", 0.0) <= 0.0:
         sys.exit(f"{sys.argv[1]}: non-positive wall throughput: {r}")
 eight = [r for r in rows if r["threads"] == 8][0]
-if eight.get("virtual_speedup", 0.0) < 3.0:
-    sys.exit(f"{sys.argv[1]}: virtual speedup at 8 threads below 3x: {eight}")
+if eight.get("schedule_model_speedup", 0.0) < 3.0:
+    sys.exit(f"{sys.argv[1]}: schedule model speedup at 8 threads below 3x: {eight}")
 EOF
   else
     grep -q '"identical": true' "$path" && ! grep -q '"identical": false' "$path"
@@ -324,7 +324,7 @@ check_continuum_kernels
 # fingerprint and an "identical" flag against the serial run), and the
 # deterministic tick-schedule model must reach >= 3x at 8 threads. Wall time
 # is host-dependent and not checked (the tick is a small slice of campaign
-# wall time; the virtual model isolates the schedule itself).
+# wall time; the schedule model isolates the schedule itself).
 run_bench bench_campaign_parallel campaign_parallel.json --small
 check_campaign_parallel() {
   local path="bench_outputs/campaign_parallel.json"
@@ -348,8 +348,8 @@ for r in rows:
 if doc.get("analysis_frames", 0) <= 0:
     sys.exit(f"{sys.argv[1]}: no frames analyzed")
 eight = [r for r in rows if r["threads"] == 8][0]
-if eight.get("virtual_speedup", 0.0) < 3.0:
-    sys.exit(f"{sys.argv[1]}: virtual speedup at 8 threads below 3x: {eight}")
+if eight.get("schedule_model_speedup", 0.0) < 3.0:
+    sys.exit(f"{sys.argv[1]}: schedule model speedup at 8 threads below 3x: {eight}")
 EOF
   else
     grep -q '"identical": true' "$path" && ! grep -q '"identical": false' "$path"

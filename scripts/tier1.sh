@@ -35,10 +35,12 @@ ctest --test-dir build --output-on-failure -j "$jobs" \
   ${label_args[@]+"${label_args[@]}"} | tee "$ctest_log"
 
 echo "=== tier 1: slowest 10 tests ==="
+# The last filter reads all of sort's output: `head` would exit early and,
+# under pipefail, sort's SIGPIPE would fail the whole script.
 awk '/ Test +#[0-9]+:/ && / sec$/ {
        for (i = 1; i <= NF; i++) if ($i == "sec") t = $(i - 1);
        print t, $4
-     }' "$ctest_log" | sort -rn | head -10
+     }' "$ctest_log" | sort -rn | awk 'NR <= 10'
 rm -f "$ctest_log"
 
 if [[ "$bench" == 1 ]]; then
@@ -60,10 +62,12 @@ if [[ "$no_sanitize" == 1 ]]; then
 fi
 
 echo "=== tier 1: ASan+UBSan build, fault/resilience tests ==="
+# ForBlocks: a block that throws must not let the caller's frame unwind
+# while other blocks still write into it (use-after-scope under ASan).
 cmake -B build-asan -S . -DMUMMI_SANITIZE="address;undefined" >/dev/null
 cmake --build build-asan -j "$jobs" --target mummi_tests
 ./build-asan/tests/mummi_tests \
-  --gtest_filter='*Backoff*:*FaultPlan*:*ResilientKv*:*FailNode*:*Resilience*:*FsStoreFault*:*JobTrackerBoundary*'
+  --gtest_filter='*Backoff*:*FaultPlan*:*ResilientKv*:*FailNode*:*Resilience*:*FsStoreFault*:*JobTrackerBoundary*:*ForBlocks*:*BlockScratch*'
 
 echo "=== tier 1: ASan+UBSan build, crash-point sweep ==="
 # The crash-consistency sweep throws SimulatedCrash through half-finished
@@ -104,11 +108,13 @@ echo "=== tier 1: TSan build, threaded continuum engine tests ==="
   --gtest_filter='*ParallelContinuum*'
 
 echo "=== tier 1: TSan build, threaded campaign tick tests ==="
-# The campaign maintain tick pipelines in-situ stepping (pool) against
-# analysis fan-out + serial fold (caller) over shared SimStates; the
-# determinism suites drive 2/4/8-worker pools against the serial reference,
-# so a racy chunk handoff or cross-stage access trips here.
+# The campaign maintain tick runs one blocked pass over the running sims
+# (each pool task steps and then analyzes its block, touching only those
+# sims' state), then folds serially on the caller in ascending sim-id order.
+# The determinism suites drive 2/4/8-worker pools against the serial
+# reference, and the for_blocks / BlockScratch suites cover the primitive
+# itself, so a cross-block write or a racy scratch reuse trips here.
 ./build-tsan/tests/mummi_tests \
-  --gtest_filter='*PipelineTwoStage*:*InSitu*:*ParallelCampaign*'
+  --gtest_filter='*ForBlocks*:*BlockScratch*:*InSitu*:*ParallelCampaign*'
 
 echo "=== tier 1: PASS ==="

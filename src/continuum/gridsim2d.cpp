@@ -41,8 +41,9 @@ GridSim2D::GridSim2D(ContinuumConfig config)
   }
   mu_.assign(static_cast<std::size_t>(ns), Grid2d(config_.grid));
   next_.assign(static_cast<std::size_t>(ns), Grid2d(config_.grid));
-  footprint_.assign(static_cast<std::size_t>(kNumProteinStates),
-                    Grid2d(config_.grid));
+  footprint_.assign(static_cast<std::size_t>(kNumProteinStates) *
+                        config_.grid * config_.grid,
+                    0.0);
 
   // Symmetric lipid-lipid interaction matrix: mild self-attraction drives
   // domain formation; cross terms are random but weak.
@@ -94,13 +95,13 @@ void GridSim2D::build_footprints(util::ThreadPool* pool) {
   // sigma == 0 (pointlike protein) would divide by zero in the Gaussian:
   // such proteins simply leave no footprint.
   const bool stamp = sigma_g > 0 && np > 0;
-  const std::size_t nblocks = stamp ? detail::protein_blocks(np) : 0;
-  fp_scratch_.reset(nblocks, static_cast<std::size_t>(kNumProteinStates),
-                    cells);
+  const std::size_t block = detail::protein_block(np);
+  const std::size_t nblocks = stamp ? util::block_count(np, block) : 0;
+  fp_scratch_.reset(nblocks, footprint_.size());
+  std::fill(footprint_.begin(), footprint_.end(), 0.0);
   if (stamp) {
     const int reach = std::max(2, static_cast<int>(3 * sigma_g));
     const double denom = 2 * sigma_g * sigma_g;
-    const std::size_t block = detail::protein_block(np);
     auto wrap = [n](int i) { return ((i % n) + n) % n; };
     util::for_blocks(pool, np, block, [&](std::size_t lo, std::size_t hi) {
       const std::size_t b = lo / block;
@@ -109,7 +110,8 @@ void GridSim2D::build_footprints(util::ThreadPool* pool) {
         const double gi = p.x / h_;
         const double gj = p.y / h_;
         if (!std::isfinite(gi) || !std::isfinite(gj)) continue;
-        double* f = fp_scratch_.grid(b, static_cast<std::size_t>(p.state));
+        double* f = fp_scratch_.block(b) +
+                    static_cast<std::size_t>(p.state) * cells;
         const int ci = static_cast<int>(std::floor(gi));
         const int cj = static_cast<int>(std::floor(gj));
         for (int di = -reach; di <= reach; ++di) {
@@ -125,8 +127,9 @@ void GridSim2D::build_footprints(util::ThreadPool* pool) {
       }
     });
   }
-  // Ascending-block fold (zeroes the grids when nothing was stamped).
-  fp_scratch_.reduce_and_clear(footprint_, pool);
+  // Ascending-block fold onto the zeroed footprints (0.0 + x == x, so the
+  // first block lands bit for bit as if assigned).
+  fp_scratch_.fold_into(footprint_.data(), pool);
 }
 
 void GridSim2D::step_lipids() {
@@ -135,6 +138,7 @@ void GridSim2D::step_lipids() {
   const double h2 = h_ * h_;
   const double kappa = config_.kappa;
   const double coeff = config_.mobility * config_.dt;
+  const auto cells = static_cast<std::size_t>(n) * n;
 
   build_footprints(pool_);
 
@@ -186,7 +190,8 @@ void GridSim2D::step_lipids() {
             for (int st = 0; st < kNumProteinStates; ++st) {
               const double w = coupling_[static_cast<std::size_t>(st) * ns + s];
               if (w == 0) continue;
-              const double* fp = footprint_[st].data().data() + r;
+              const double* fp =
+                  footprint_.data() + static_cast<std::size_t>(st) * cells + r;
               for (int j = 0; j < n; ++j) mu[j] += w * fp[j];
             }
           }
@@ -294,7 +299,7 @@ void GridSim2D::step_proteins() {
   c_rebuilds_->inc();
 
   const std::size_t block = detail::protein_block(np);
-  const std::size_t nblocks = detail::protein_blocks(np);
+  const std::size_t nblocks = util::block_count(np, block);
   if (cand_scratch_.size() < nblocks) cand_scratch_.resize(nblocks);
   pair_counts_.assign(nblocks, 0);
 
@@ -363,7 +368,9 @@ void GridSim2D::step_lipids_legacy() {
         v -= config_.kappa * fields_[s].laplacian(i, j, h_);
         for (int st = 0; st < kNumProteinStates; ++st) {
           const double w = coupling_[static_cast<std::size_t>(st) * ns + s];
-          if (w != 0) v += w * footprint_[st].at(i, j);
+          if (w != 0)
+            v += w * footprint_[static_cast<std::size_t>(st) * n * n +
+                                static_cast<std::size_t>(i) * n + j];
         }
         mu.at(i, j) = v;
       }

@@ -162,8 +162,9 @@ class GridSim2D {
   std::vector<Grid2d> fields_;
   std::vector<Grid2d> mu_;      // scratch: excess chemical potential
   std::vector<Grid2d> next_;    // scratch: updated densities (swapped in)
-  std::vector<Grid2d> footprint_;  // scratch: per-state protein footprints
-  detail::FootprintScratch fp_scratch_;
+  /// Scratch: per-state protein footprints, state-major (grid cells each).
+  std::vector<double> footprint_;
+  util::BlockScratch<double> fp_scratch_;  // per-protein-block stamps
   detail::ProteinCellBins bins_;
   std::vector<std::vector<std::size_t>> cand_scratch_;  // per-block neighbors
   std::vector<std::uint64_t> pair_counts_;              // per-block partials

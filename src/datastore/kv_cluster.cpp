@@ -285,10 +285,10 @@ std::vector<std::string> KvCluster::scan(const std::string* ns,
     // throwing so every task completes before any rethrow (futures must not
     // outlive the locals they reference). Slot order keeps results
     // deterministic regardless of execution order.
-    util::global_pool().parallel_for_blocks(
-        n_shards, 1, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) visit(i);
-        });
+    util::for_blocks(&util::global_pool(), n_shards, 1,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) visit(i);
+                     });
   } else {
     for (std::size_t i = 0; i < n_shards; ++i) visit(i);
   }
@@ -427,10 +427,10 @@ void KvCluster::mget(const std::vector<std::string>& keys,
     }
   };
   if (groups.touched.size() >= kParallelGroups) {
-    util::global_pool().parallel_for_blocks(
-        groups.touched.size(), 1, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t gi = begin; gi < end; ++gi) visit(gi);
-        });
+    util::for_blocks(&util::global_pool(), groups.touched.size(), 1,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t gi = begin; gi < end; ++gi) visit(gi);
+                     });
   } else {
     visit(0);
   }

@@ -21,7 +21,7 @@ void CellList::build(const System& system, real range,
 
   // Cell assignment is pure per-particle work: parallel, trivially
   // deterministic.
-  detail::for_blocks(
+  util::for_blocks(
       pool, n, detail::kernel_block(n),
       [this, &system](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
@@ -74,7 +74,7 @@ void NeighborList::build(const System& system, util::ThreadPool* pool) {
   cells_.build(system, range, pool);
 
   const std::size_t block = detail::kernel_block(n);
-  const std::size_t nblocks = detail::kernel_blocks(n);
+  const std::size_t nblocks = util::block_count(n, block);
   if (scratch_.size() < nblocks) scratch_.resize(nblocks);
   row_start_.assign(n + 1, 0);
 
@@ -86,7 +86,7 @@ void NeighborList::build(const System& system, util::ThreadPool* pool) {
   // Pass 1: every block gathers its rows into its own scratch buffer
   // (capacity persists across rebuilds) and records per-row lengths. Row
   // content depends only on the system, never on which worker ran the block.
-  detail::for_blocks(
+  util::for_blocks(
       pool, n, block,
       [&, this](std::size_t begin, std::size_t end) {
         std::vector<int>& js = scratch_[begin / block];
@@ -129,14 +129,13 @@ void NeighborList::build(const System& system, util::ThreadPool* pool) {
   // place — disjoint contiguous spans, so the copy parallelizes freely.
   for (std::size_t i = 0; i < n; ++i) row_start_[i + 1] += row_start_[i];
   nbr_.resize(row_start_[n]);
-  detail::for_blocks(pool, n, block,
-                     [this, block](std::size_t begin, std::size_t end) {
-                       (void)end;
-                       const std::vector<int>& js = scratch_[begin / block];
-                       std::copy(js.begin(), js.end(),
-                                 nbr_.begin() + static_cast<std::ptrdiff_t>(
-                                                    row_start_[begin]));
-                     });
+  util::for_blocks(pool, n, block,
+                   [this, block](std::size_t begin, std::size_t /*end*/) {
+                     const std::vector<int>& js = scratch_[begin / block];
+                     std::copy(js.begin(), js.end(),
+                               nbr_.begin() + static_cast<std::ptrdiff_t>(
+                                                  row_start_[begin]));
+                   });
 
   ref_pos_ = system.pos;
   ++rebuilds_;
@@ -159,7 +158,7 @@ bool NeighborList::needs_rebuild(const System& system,
   // Parallel scan with a relaxed early-out; the OR of per-block verdicts is
   // order-independent, so the answer matches the serial scan exactly.
   std::atomic<bool> moved{false};
-  detail::for_blocks(
+  util::for_blocks(
       pool, n, detail::kernel_block(n),
       [&, this](std::size_t begin, std::size_t end) {
         if (moved.load(std::memory_order_relaxed)) return;

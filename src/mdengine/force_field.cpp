@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "mdengine/parallel_kernels.hpp"
 #include "obs/metrics.hpp"
@@ -100,17 +101,18 @@ real TypeMatrixForceField::compute(System& system,
   const auto ntypes = static_cast<std::size_t>(n_types_);
 
   const std::size_t block = detail::kernel_block(n);
-  const std::size_t nblocks = detail::kernel_blocks(n);
+  const std::size_t nblocks = util::block_count(n, block);
   // One scratch per *calling* thread, bound through a local reference so the
   // block lambda captures this thread's instance — pool workers referencing
   // the thread_local directly would each see their own (empty) scratch.
-  static thread_local detail::ForceScratch scratch_tls;
-  detail::ForceScratch& scratch = scratch_tls;
-  scratch.reset(nblocks, n, nblocks);
+  static thread_local util::BlockScratch<Vec3> scratch_tls;
+  util::BlockScratch<Vec3>& scratch = scratch_tls;
+  scratch.reset(nblocks, n);
+  std::vector<real> energies(nblocks, 0);  // summed in ascending order
 
-  detail::for_blocks(pool, n, block, [&](std::size_t begin, std::size_t end) {
+  util::for_blocks(pool, n, block, [&](std::size_t begin, std::size_t end) {
     const std::size_t b = begin / block;
-    Vec3* f = scratch.force(b);
+    Vec3* f = scratch.block(b);
     real energy = 0;
     for (std::size_t i = begin; i < end; ++i) {
       const Vec3 pi = pos[i];
@@ -149,13 +151,13 @@ real TypeMatrixForceField::compute(System& system,
       }
       f[i] += fi;
     }
-    scratch.energy(b) = energy;
+    energies[b] = energy;
   });
 
-  scratch.reduce_and_clear(system.force, pool);
+  scratch.fold_into(system.force.data(), pool);
   static obs::Counter& pair_counter = obs::counter("md.force.pairs");
   pair_counter.inc(neighbors.n_pairs());
-  return scratch.energy_sum();
+  return std::accumulate(energies.begin(), energies.end(), real{0});
 }
 
 real compute_bonded(System& system, util::ThreadPool* pool) {
@@ -164,25 +166,27 @@ real compute_bonded(System& system, util::ThreadPool* pool) {
   if (nbonds + nangles == 0) return 0;
   const std::size_t n = system.size();
   const std::size_t bond_block = detail::kernel_block(nbonds);
-  const std::size_t nb_bonds = detail::kernel_blocks(nbonds);
+  const std::size_t nb_bonds = util::block_count(nbonds, bond_block);
   const std::size_t angle_block = detail::kernel_block(nangles);
-  const std::size_t nb_angles = detail::kernel_blocks(nangles);
+  const std::size_t nb_angles = util::block_count(nangles, angle_block);
 
-  static thread_local detail::ForceScratch scratch_tls;
-  detail::ForceScratch& scratch = scratch_tls;  // see compute(): capture the
-                                                // caller's instance, not the
-                                                // workers' thread_locals
-  scratch.reset(std::max(nb_bonds, nb_angles), n, nb_bonds + nb_angles);
+  // See compute(): capture the caller's instance, not the workers'
+  // thread_locals.
+  static thread_local util::BlockScratch<Vec3> scratch_tls;
+  util::BlockScratch<Vec3>& scratch = scratch_tls;
+  scratch.reset(std::max(nb_bonds, nb_angles), n);
+  // Bond partials in slots [0, nb_bonds), angle partials after them.
+  std::vector<real> energies(nb_bonds + nb_angles, 0);
   const Box box = system.box;
   const Vec3* pos = system.pos.data();
 
   // Bond blocks, then angle blocks on top of the same buffers (the passes
   // are separated by a join, and block b always lands in buffer b) — one
   // fixed-order reduction covers both terms.
-  detail::for_blocks(
+  util::for_blocks(
       pool, nbonds, bond_block, [&](std::size_t begin, std::size_t end) {
         const std::size_t b = begin / bond_block;
-        Vec3* f = scratch.force(b);
+        Vec3* f = scratch.block(b);
         real energy = 0;
         for (std::size_t k = begin; k < end; ++k) {
           const Bond& bond = system.bonds[k];
@@ -195,13 +199,13 @@ real compute_bonded(System& system, util::ThreadPool* pool) {
           f[bond.i] += fv;
           f[bond.j] -= fv;
         }
-        scratch.energy(b) = energy;
+        energies[b] = energy;
       });
 
-  detail::for_blocks(
+  util::for_blocks(
       pool, nangles, angle_block, [&](std::size_t begin, std::size_t end) {
         const std::size_t b = begin / angle_block;
-        Vec3* f = scratch.force(b);
+        Vec3* f = scratch.block(b);
         real energy = 0;
         for (std::size_t k = begin; k < end; ++k) {
           const Angle& angle = system.angles[k];
@@ -230,11 +234,11 @@ real compute_bonded(System& system, util::ThreadPool* pool) {
           f[angle.k] += coeff * dk;
           f[angle.j] -= coeff * (di + dk);
         }
-        scratch.energy(nb_bonds + b) = energy;
+        energies[nb_bonds + b] = energy;
       });
 
-  scratch.reduce_and_clear(system.force, pool);
-  return scratch.energy_sum();
+  scratch.fold_into(system.force.data(), pool);
+  return std::accumulate(energies.begin(), energies.end(), real{0});
 }
 
 real Restraints::compute(System& system) const {

@@ -1,20 +1,16 @@
-// Deterministic block-parallel helpers for the MD hot path.
+// Deterministic block decomposition for the MD hot path.
 //
-// Every parallel loop in the force engine runs through these helpers with
+// Every parallel loop in the force engine runs through util::for_blocks with
 // block boundaries that are a function of the problem size ONLY — never the
 // worker count — and every floating-point reduction folds per-block partials
-// in fixed (ascending-block) order. A serial run, a 2-thread pool and an
-// 8-thread pool therefore produce bit-identical forces, energies and
-// trajectories: the same discipline the selection layer adopted for rank
-// folds (DESIGN.md 4d), applied to force scatter.
+// in fixed (ascending-block) order through util::BlockScratch. A serial run,
+// a 2-thread pool and an 8-thread pool therefore produce bit-identical
+// forces, energies and trajectories: the same discipline the selection layer
+// adopted for rank folds (DESIGN.md 4d), applied to force scatter.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <functional>
-#include <vector>
 
-#include "mdengine/types.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mummi::md::detail {
@@ -22,54 +18,8 @@ namespace mummi::md::detail {
 /// Block size for a kernel over `n` items: ~16 blocks for large inputs
 /// (enough slack for an 8-worker pool to balance), never below 512 items so
 /// small systems do not pay fan-out overhead. Depends on n only.
-inline std::size_t kernel_block(std::size_t n) {
-  return std::max<std::size_t>(512, (n + 15) / 16);
+constexpr std::size_t kernel_block(std::size_t n) {
+  return util::det_block(n, 512, 16);
 }
-
-/// Number of blocks kernel_block(n) yields over [0, n).
-inline std::size_t kernel_blocks(std::size_t n) {
-  if (n == 0) return 0;
-  const std::size_t block = kernel_block(n);
-  return (n + block - 1) / block;
-}
-
-/// Runs fn(begin, end) over [0, n) in blocks of `block`: serial in ascending
-/// block order when pool is null, pool->parallel_for_blocks otherwise. The
-/// block boundaries are identical either way, so any fn that only touches
-/// state owned by its block is thread-count independent by construction.
-void for_blocks(util::ThreadPool* pool, std::size_t n, std::size_t block,
-                const std::function<void(std::size_t, std::size_t)>& fn);
-
-/// Per-block force accumulators with a fixed-order reduction.
-///
-/// Writers: block b scatters freely into force(b) (size n, zeroed on entry)
-/// and stores its energy partial into a unique slot. reduce_and_clear folds
-/// the buffers into the output array per particle in ascending block order —
-/// bit-identical for any worker count — and re-zeroes them on the way out,
-/// so the next reset() on the same shape skips the O(nblocks * n) clear.
-/// Buffers persist across calls (the engine keeps one instance per thread);
-/// steady-state cost is the reduction pass, not allocation.
-class ForceScratch {
- public:
-  /// Ensures `nblocks` zeroed force buffers of size n and `nslots` zeroed
-  /// energy slots.
-  void reset(std::size_t nblocks, std::size_t n, std::size_t nslots);
-
-  [[nodiscard]] Vec3* force(std::size_t b) { return force_[b].data(); }
-  [[nodiscard]] real& energy(std::size_t slot) { return energy_[slot]; }
-
-  /// out[i] += sum over blocks (ascending) of force(b)[i]; zeroes buffers.
-  void reduce_and_clear(std::vector<Vec3>& out, util::ThreadPool* pool);
-
-  /// Energy partials summed in ascending slot order.
-  [[nodiscard]] real energy_sum() const;
-
- private:
-  std::size_t nblocks_ = 0;
-  std::size_t n_ = 0;
-  bool dirty_ = false;  // writes pending that reduce_and_clear has not folded
-  std::vector<std::vector<Vec3>> force_;
-  std::vector<real> energy_;
-};
 
 }  // namespace mummi::md::detail

@@ -1,5 +1,8 @@
 #include "mdengine/system.hpp"
 
+#include <cstddef>
+#include <cstdint>
+
 namespace mummi::md {
 
 void System::zero_momentum() {
@@ -26,7 +29,19 @@ util::Bytes System::serialize() const {
   w.vec(type);
   w.vec(molecule);
   w.vec(bonds);
-  w.vec(angles);
+  // Angle has 4 padding bytes after k; a raw copy would leak them. Write the
+  // same 32-byte record (the layout deserialize's vec<Angle> reads) field by
+  // field with the padding zeroed, so equal systems serialize identically.
+  static_assert(sizeof(Angle) == 32 && offsetof(Angle, theta0) == 16);
+  w.u64(angles.size());
+  for (const Angle& a : angles) {
+    w.u32(static_cast<std::uint32_t>(a.i));
+    w.u32(static_cast<std::uint32_t>(a.j));
+    w.u32(static_cast<std::uint32_t>(a.k));
+    w.u32(0);
+    w.f64(a.theta0);
+    w.f64(a.ktheta);
+  }
   return std::move(w).take();
 }
 

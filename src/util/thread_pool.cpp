@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 
 namespace mummi::util {
 
 namespace {
-// Set while a pool worker is executing a task; lets parallel_for_blocks run
+// Set while a pool worker is executing a task; lets for_blocks run
 // nested calls inline instead of deadlocking on its own (possibly busy) pool.
 thread_local bool t_in_worker = false;
 }  // namespace
@@ -53,49 +54,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t nblocks = std::min(target_, n);
-  if (nblocks <= 1 || n < 64) {
-    fn(0, n);
-    return;
-  }
-  std::vector<std::future<void>> futs;
-  futs.reserve(nblocks);
-  const std::size_t chunk = (n + nblocks - 1) / nblocks;
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const std::size_t begin = b * chunk;
-    const std::size_t end = std::min(begin + chunk, n);
-    if (begin >= end) break;
-    futs.push_back(submit([&fn, begin, end] { fn(begin, end); }));
-  }
-  for (auto& f : futs) f.get();
-}
-
-void ThreadPool::parallel_for_blocks(
-    std::size_t n, std::size_t block,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  if (block == 0) block = 1;
-  const std::size_t nblocks = (n + block - 1) / block;
-  // The boundary sequence below depends only on (n, block); the worker count
-  // (and whether we execute inline) only changes *where* blocks run.
-  if (nblocks <= 1 || target_ <= 1 || t_in_worker) {
-    for (std::size_t b = 0; b < nblocks; ++b)
-      fn(b * block, std::min((b + 1) * block, n));
-    return;
-  }
-  std::vector<std::future<void>> futs;
-  futs.reserve(nblocks);
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const std::size_t begin = b * block;
-    const std::size_t end = std::min(begin + block, n);
-    futs.push_back(submit([&fn, begin, end] { fn(begin, end); }));
-  }
-  for (auto& f : futs) f.get();
-}
-
 void ThreadPool::wait_idle() {
   std::unique_lock lock(mutex_);
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
@@ -105,48 +63,36 @@ void for_blocks(ThreadPool* pool, std::size_t n, std::size_t block,
                 const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
   if (block == 0) block = 1;
-  if (pool != nullptr) {
-    pool->parallel_for_blocks(n, block, fn);
+  const std::size_t nblocks = block_count(n, block);
+  // The boundary sequence depends only on (n, block); the pool (and whether
+  // we execute inline) only changes *where* blocks run.
+  if (pool == nullptr || pool->size() <= 1 || nblocks <= 1 || t_in_worker) {
+    for (std::size_t b = 0; b < nblocks; ++b)
+      fn(b * block, std::min((b + 1) * block, n));
     return;
   }
-  for (std::size_t b = 0; b * block < n; ++b)
-    fn(b * block, std::min((b + 1) * block, n));
-}
-
-void pipeline_two_stage(
-    ThreadPool* pool, std::size_t n, std::size_t chunk,
-    const std::function<void(std::size_t, std::size_t)>& produce,
-    const std::function<void(std::size_t, std::size_t)>& consume) {
-  if (n == 0) return;
-  if (chunk == 0) chunk = 1;
-  const std::size_t nchunks = (n + chunk - 1) / chunk;
-  auto lo = [chunk](std::size_t c) { return c * chunk; };
-  auto hi = [chunk, n](std::size_t c) { return std::min((c + 1) * chunk, n); };
-  if (pool == nullptr || pool->size() <= 1 || nchunks <= 1 || t_in_worker) {
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      produce(lo(c), hi(c));
-      consume(lo(c), hi(c));
+  std::vector<std::future<void>> futs;
+  futs.reserve(nblocks);
+  std::exception_ptr first;
+  try {
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      const std::size_t begin = b * block;
+      const std::size_t end = std::min(begin + block, n);
+      futs.push_back(pool->submit([&fn, begin, end] { fn(begin, end); }));
     }
-    return;
+  } catch (...) {
+    first = std::current_exception();
   }
-  std::future<void> ahead =
-      pool->submit([&produce, lo, hi] { produce(lo(0), hi(0)); });
-  for (std::size_t c = 0; c < nchunks; ++c) {
+  // Every submitted block captures fn (and through it the caller's locals)
+  // by reference: join them all before any exception leaves this frame.
+  for (auto& f : futs) {
     try {
-      ahead.get();  // rethrows a produce failure for chunk c
-      if (c + 1 < nchunks) {
-        const std::size_t next = c + 1;
-        ahead = pool->submit(
-            [&produce, lo, hi, next] { produce(lo(next), hi(next)); });
-      }
-      consume(lo(c), hi(c));
+      f.get();
     } catch (...) {
-      // An in-flight produce task captures locals by reference; it must not
-      // outlive this frame even when a stage throws.
-      if (ahead.valid()) ahead.wait();
-      throw;
+      if (!first) first = std::current_exception();
     }
   }
+  if (first) std::rethrow_exception(first);
 }
 
 ThreadPool* env_shared_pool() {
@@ -159,7 +105,7 @@ ThreadPool* env_shared_pool() {
 
 ThreadPool& global_pool() {
   // MUMMI_POOL_SIZE overrides the hardware-concurrency default; campaign
-  // output is identical for every setting (parallel_for_blocks pins block
+  // output is identical for every setting (for_blocks pins block
   // boundaries to the data, not the workers), and CI exercises that claim by
   // rerunning benches under different sizes.
   static ThreadPool pool([] {

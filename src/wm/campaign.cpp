@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "fault/fault_injector.hpp"
@@ -816,8 +817,9 @@ std::optional<std::uint64_t> Campaign::try_load_checkpoint(
 
   util::ByteReader r(*blob);
   const auto version = r.u32();
-  MUMMI_CHECK_MSG(version == kCheckpointVersion,
-                  "unknown campaign checkpoint version");
+  if (version != kCheckpointVersion)
+    throw util::FormatError("unknown campaign checkpoint version " +
+                            std::to_string(version));
   const std::uint64_t flat_run = r.u64();
   r.f64();  // hours at run start; recomputed from the schedule on resume
 

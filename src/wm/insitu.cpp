@@ -145,32 +145,23 @@ std::uint64_t InSituPlane::tick(
   std::vector<SimState*> slots(n);
   for (std::size_t i = 0; i < n; ++i) slots[i] = &state_for(payloads[i]);
 
-  std::uint64_t fold_ns = 0;
-  util::pipeline_two_stage(
-      config_.pool, n, kInSituChunk,
-      // Stage one (pool task, one chunk ahead): stepping.
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-          step_sim(payloads[i], *slots[i], tick_key);
-      },
-      // Stage two (caller, ascending chunks): fan the analyses out across
-      // the pool, then fold this chunk serially — so the fold is globally
-      // ascending in sim id while the next chunk's stepping is in flight.
-      [&](std::size_t lo, std::size_t hi) {
-        util::for_blocks(
-            config_.pool, hi - lo, kInSituSubBlock,
-            [&](std::size_t b, std::size_t e) {
-              for (std::size_t i = lo + b; i < lo + e; ++i)
-                analyze_sim(payloads[i], *slots[i], tick_key, candidate_mean,
-                            slots[i]->result);
-            });
-        const auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = lo; i < hi; ++i) fold(slots[i]->result);
-        fold_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-      });
+  // One fused blocked pass: each sim is stepped and then analyzed by the
+  // same task, touching only its own SimState.
+  util::for_blocks(config_.pool, n, kInSituSubBlock,
+                   [&](std::size_t lo, std::size_t hi) {
+                     for (std::size_t i = lo; i < hi; ++i) {
+                       step_sim(payloads[i], *slots[i], tick_key);
+                       analyze_sim(payloads[i], *slots[i], tick_key,
+                                   candidate_mean, slots[i]->result);
+                     }
+                   });
+  // Serial fold in ascending sim-id order on the caller.
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < n; ++i) fold(slots[i]->result);
+  const auto fold_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
   return fold_ns;
 }
 

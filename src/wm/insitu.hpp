@@ -10,9 +10,10 @@
 // (stepping), runs the real coupling::CgAnalysis over it (RDF accumulation +
 // encoder feature extraction), and draws the per-sim candidate counts — all
 // under the engines' bit-level discipline: per-sim counter-based RNG streams,
-// chunk boundaries a function of data only, a two-stage bounded pipeline
-// (stepping of chunk c+1 overlaps analysis of chunk c), and a serial fold in
-// ascending sim-id order. Threads change wall time, never output.
+// one fused util::for_blocks pass (each task steps and then analyzes its
+// kInSituSubBlock sims; block boundaries a function of data only), and a
+// serial fold in ascending sim-id order. Threads change wall time, never
+// output.
 #pragma once
 
 #include <array>
@@ -42,10 +43,7 @@ struct InSituConfig {
   util::ThreadPool* pool = nullptr;
 };
 
-/// Pipeline chunk: sims whose stepping is submitted as one pool task, and
-/// whose analysis is folded before the next chunk's. Data-only constant.
-constexpr std::size_t kInSituChunk = 32;
-/// Analysis fan-out granularity within a chunk. Data-only constant.
+/// Sims stepped and analyzed by one pool task. Data-only constant.
 constexpr std::size_t kInSituSubBlock = 8;
 
 /// Per-sim outcome of one tick, handed to the fold callback.

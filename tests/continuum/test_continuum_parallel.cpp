@@ -226,15 +226,22 @@ TEST(ParallelContinuum, NanFieldsFreezeProteinsInsideBox) {
 
 TEST(ParallelContinuum, BlockBoundariesDependOnSizeOnly) {
   // The whole determinism argument rests on this: boundaries are f(n) only.
+  auto row_blocks = [](std::size_t n) {
+    return util::block_count(n, detail::row_block(n));
+  };
+  auto protein_blocks = [](std::size_t p) {
+    return util::block_count(p, detail::protein_block(p));
+  };
   EXPECT_EQ(detail::row_block(24), 8u);
-  EXPECT_EQ(detail::row_blocks(24), 3u);
-  EXPECT_EQ(detail::row_blocks(0), 0u);
-  EXPECT_EQ(detail::row_blocks(192), 16u);
+  EXPECT_EQ(row_blocks(24), 3u);
+  EXPECT_EQ(row_blocks(0), 0u);
+  EXPECT_EQ(row_blocks(192), 16u);
   EXPECT_EQ(detail::protein_block(30), 16u);
-  EXPECT_EQ(detail::protein_blocks(30), 2u);
-  EXPECT_EQ(detail::protein_blocks(0), 0u);
-  EXPECT_GE(detail::protein_blocks(100000), 7u);
-  EXPECT_LE(detail::protein_blocks(100000), 9u);
+  EXPECT_EQ(protein_blocks(30), 2u);
+  EXPECT_EQ(protein_blocks(0), 0u);
+  EXPECT_EQ(detail::protein_block(100000), 12500u);
+  EXPECT_GE(protein_blocks(100000), 7u);
+  EXPECT_LE(protein_blocks(100000), 9u);
 }
 
 TEST(ParallelContinuum, ProteinStreamSeedsAreDistinct) {

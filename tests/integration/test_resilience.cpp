@@ -12,7 +12,9 @@
 #include "datastore/resilient_kv.hpp"
 #include "fault/fault_injector.hpp"
 #include "feedback/aa2cg.hpp"
+#include "util/bytes.hpp"
 #include "util/checkpoint.hpp"
+#include "util/error.hpp"
 #include "wm/campaign.hpp"
 #include "wm/workflow_manager.hpp"
 
@@ -211,6 +213,27 @@ TEST(Resilience, CrashRestartResumesFromCheckpoint) {
   EXPECT_GT(result.cg_total_us, 0.0);
   // Success clears the checkpoint so the next campaign starts fresh.
   EXPECT_FALSE(std::filesystem::exists(ckpt_path));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Resilience, UnknownCheckpointVersionIsFormatError) {
+  // A checkpoint from an unknown format version is a decode failure
+  // (FormatError), not an internal invariant violation.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("mummi_ckpt_version_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string ckpt_path = (dir / "campaign.ckpt").string();
+  util::ByteWriter w;
+  w.u32(99);
+  w.u64(0);
+  util::CheckpointFile(ckpt_path).save(std::move(w).take());
+
+  wm::CampaignConfig cfg;
+  cfg.runs = {{20, 2, 1}};
+  cfg.seed = 11;
+  cfg.checkpoint_interval_s = 600;
+  cfg.checkpoint_path = ckpt_path;
+  EXPECT_THROW(wm::Campaign(cfg).run(), util::FormatError);
   std::filesystem::remove_all(dir);
 }
 

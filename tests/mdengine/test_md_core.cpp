@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "mdengine/cell_list.hpp"
@@ -107,6 +108,40 @@ TEST(System, SerializeRoundTrip) {
   EXPECT_DOUBLE_EQ(t.bonds[0].r0, 0.47);
   ASSERT_EQ(t.angles.size(), 1u);
   EXPECT_EQ(t.force.size(), 2u);
+}
+
+TEST(System, SerializeZeroesAnglePadding) {
+  // Angle carries 4 padding bytes after k; serialize() must not copy
+  // whatever the allocator left there, or equal systems hash differently.
+  System s;
+  s.add_particle({1, 1, 1}, 0, 72.0);
+  s.add_particle({2, 2, 2}, 0, 72.0);
+  s.add_particle({3, 2, 2}, 0, 72.0);
+  s.angles.resize(2);
+  std::memset(static_cast<void*>(s.angles.data()), 0xAB,
+              s.angles.size() * sizeof(Angle));
+  for (std::size_t a = 0; a < s.angles.size(); ++a) {
+    s.angles[a].i = 0;
+    s.angles[a].j = 1;
+    s.angles[a].k = 2;
+    s.angles[a].theta0 = 1.9 + static_cast<real>(a);
+    s.angles[a].ktheta = 25;
+  }
+  const util::Bytes blob = s.serialize();
+  // The angle records (32 bytes each) close the blob; padding is bytes
+  // 12..15 of each record.
+  ASSERT_GE(blob.size(), 2 * sizeof(Angle));
+  for (std::size_t a = 0; a < 2; ++a) {
+    const std::size_t rec = blob.size() - (2 - a) * sizeof(Angle);
+    for (std::size_t p = 12; p < 16; ++p)
+      EXPECT_EQ(blob[rec + p], 0) << "angle " << a << " byte " << p;
+  }
+  const System t = System::deserialize(blob);
+  ASSERT_EQ(t.angles.size(), 2u);
+  EXPECT_EQ(t.angles[1].k, 2);
+  EXPECT_EQ(t.angles[1].theta0, 2.9);
+  EXPECT_EQ(t.angles[1].ktheta, 25);
+  EXPECT_EQ(t.serialize(), blob);
 }
 
 /// Reference: all pairs within cutoff via O(N^2).

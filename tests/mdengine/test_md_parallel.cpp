@@ -255,12 +255,16 @@ TEST(ParallelMd, NeighborListReusesStorageAcrossRebuilds) {
 
 TEST(ParallelMd, KernelBlockBoundariesDependOnSizeOnly) {
   // The whole determinism argument rests on this: boundaries are f(n) only.
+  auto blocks = [](std::size_t n) {
+    return util::block_count(n, detail::kernel_block(n));
+  };
   EXPECT_EQ(detail::kernel_block(100), 512u);
-  EXPECT_EQ(detail::kernel_blocks(100), 1u);
-  EXPECT_EQ(detail::kernel_blocks(0), 0u);
+  EXPECT_EQ(blocks(100), 1u);
+  EXPECT_EQ(blocks(0), 0u);
   const std::size_t n = 100000;
-  EXPECT_GE(detail::kernel_blocks(n), 15u);
-  EXPECT_LE(detail::kernel_blocks(n), 17u);
+  EXPECT_EQ(detail::kernel_block(n), 6250u);
+  EXPECT_GE(blocks(n), 15u);
+  EXPECT_LE(blocks(n), 17u);
 }
 
 TEST(ParallelMd, PoolSizeEnvSelectsSharedPool) {

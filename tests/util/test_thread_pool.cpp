@@ -3,9 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <utility>
+
+#include "mdengine/types.hpp"
 
 namespace mummi::util {
 namespace {
@@ -32,10 +40,11 @@ TEST(ThreadPool, ManyTasksAllRun) {
   EXPECT_EQ(count.load(), 200);
 }
 
+// The ParallelFor* cases pin the pool's blocked loop, util::for_blocks.
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t lo, std::size_t hi) {
+  for_blocks(&pool, 1000, 7, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) ++hits[i];
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -43,8 +52,10 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
 
 TEST(ThreadPool, ParallelForSmallRangeInline) {
   ThreadPool pool(4);
-  int sum = 0;  // no atomics needed: tiny ranges run inline
-  pool.parallel_for(10, [&](std::size_t lo, std::size_t hi) {
+  int sum = 0;  // no atomics needed: a single-block range runs inline
+  for_blocks(&pool, 10, 16, [&](std::size_t lo, std::size_t hi) {
+    EXPECT_EQ(lo, 0u);
+    EXPECT_EQ(hi, 10u);
     for (std::size_t i = lo; i < hi; ++i) sum += static_cast<int>(i);
   });
   EXPECT_EQ(sum, 45);
@@ -53,7 +64,8 @@ TEST(ThreadPool, ParallelForSmallRangeInline) {
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool called = false;
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { called = true; });
+  for_blocks(&pool, 0, 4, [&](std::size_t, std::size_t) { called = true; });
+  for_blocks(nullptr, 0, 4, [&](std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
@@ -72,7 +84,7 @@ TEST(ThreadPool, WaitIdleBlocksUntilDone) {
 TEST(ThreadPool, ParallelForBlocksCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for_blocks(1000, 64, [&](std::size_t lo, std::size_t hi) {
+  for_blocks(&pool, 1000, 64, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) ++hits[i];
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -84,7 +96,7 @@ TEST(ThreadPool, ParallelForBlocksBoundariesIndependentOfPoolSize) {
   auto block_set = [](ThreadPool& pool, std::size_t n, std::size_t block) {
     std::mutex m;
     std::vector<std::pair<std::size_t, std::size_t>> blocks;
-    pool.parallel_for_blocks(n, block, [&](std::size_t lo, std::size_t hi) {
+    for_blocks(&pool, n, block, [&](std::size_t lo, std::size_t hi) {
       std::lock_guard lock(m);
       blocks.emplace_back(lo, hi);
     });
@@ -100,14 +112,14 @@ TEST(ThreadPool, ParallelForBlocksBoundariesIndependentOfPoolSize) {
 }
 
 TEST(ThreadPool, ParallelForBlocksNestedInsideWorkerRunsInline) {
-  // A worker task issuing its own parallel_for_blocks must not deadlock
+  // A worker task issuing its own for_blocks must not deadlock
   // waiting on the (occupied) pool — the nested call runs inline.
   ThreadPool pool(2);
   std::atomic<int> total{0};
   std::vector<std::future<void>> futures;
   for (int t = 0; t < 4; ++t)
     futures.push_back(pool.submit([&pool, &total] {
-      pool.parallel_for_blocks(100, 10, [&](std::size_t lo, std::size_t hi) {
+      for_blocks(&pool, 100, 10, [&](std::size_t lo, std::size_t hi) {
         total += static_cast<int>(hi - lo);
       });
     }));
@@ -117,12 +129,11 @@ TEST(ThreadPool, ParallelForBlocksNestedInsideWorkerRunsInline) {
 
 TEST(ThreadPool, ParallelForBlocksPropagatesException) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for_blocks(1000, 16,
-                               [&](std::size_t lo, std::size_t) {
-                                 if (lo == 512) throw std::runtime_error("x");
-                               }),
-      std::runtime_error);
+  EXPECT_THROW(for_blocks(&pool, 1000, 16,
+                          [&](std::size_t lo, std::size_t) {
+                            if (lo == 512) throw std::runtime_error("x");
+                          }),
+               std::runtime_error);
 }
 
 TEST(ThreadPool, WaitIdleUnderConcurrentEnqueue) {
@@ -148,132 +159,218 @@ TEST(ThreadPool, WaitIdleUnderConcurrentEnqueue) {
   pool.wait_idle();
 }
 
-TEST(PipelineTwoStage, CoversRangeInOrderSerial) {
-  std::vector<int> produced, consumed;
-  pipeline_two_stage(
-      nullptr, 10, 4,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-          produced.push_back(static_cast<int>(i));
-      },
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-          consumed.push_back(static_cast<int>(i));
-      });
-  const std::vector<int> want{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  EXPECT_EQ(produced, want);
-  EXPECT_EQ(consumed, want);
+TEST(ForBlocks, SerialRunsBlocksInAscendingOrder) {
+  // A null pool, a single-worker pool and a nested call all take the inline
+  // path: blocks in ascending order on the caller, same boundaries.
+  ThreadPool one(1);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one}) {
+    std::vector<std::pair<std::size_t, std::size_t>> seen;
+    for_blocks(pool, 10, 4, [&](std::size_t lo, std::size_t hi) {
+      seen.emplace_back(lo, hi);
+    });
+    const std::vector<std::pair<std::size_t, std::size_t>> want{
+        {0, 4}, {4, 8}, {8, 10}};
+    EXPECT_EQ(seen, want);
+  }
 }
 
-TEST(PipelineTwoStage, ConsumeSeesProducedChunkAndStaysOrdered) {
-  // The pipeline contract: consume(c) starts only after produce(c) finished,
-  // and consume chunks run serially in ascending order on the caller thread.
-  ThreadPool pool(4);
-  const std::size_t n = 1000, chunk = 64;
-  std::vector<int> staged(n, 0);
-  std::vector<std::size_t> consume_los;
-  pipeline_two_stage(
-      &pool, n, chunk,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) staged[i] = static_cast<int>(i);
-      },
-      [&](std::size_t lo, std::size_t hi) {
-        consume_los.push_back(lo);
-        for (std::size_t i = lo; i < hi; ++i)
-          EXPECT_EQ(staged[i], static_cast<int>(i));
-      });
-  ASSERT_EQ(consume_los.size(), (n + chunk - 1) / chunk);
-  EXPECT_TRUE(std::is_sorted(consume_los.begin(), consume_los.end()));
-}
-
-TEST(PipelineTwoStage, SerialAndPooledFoldIdentical) {
-  // Threads change wall time, never output: the consume-side fold sequence
-  // is byte-identical with and without a pool.
-  auto fold_trace = [](ThreadPool* pool) {
-    std::vector<std::size_t> trace;
-    pipeline_two_stage(
-        pool, 337, 16, [](std::size_t, std::size_t) {},
-        [&](std::size_t lo, std::size_t hi) {
-          trace.push_back(lo);
-          trace.push_back(hi);
-        });
-    return trace;
-  };
-  ThreadPool p2(2), p8(8);
-  const auto want = fold_trace(nullptr);
-  EXPECT_EQ(fold_trace(&p2), want);
-  EXPECT_EQ(fold_trace(&p8), want);
-}
-
-TEST(PipelineTwoStage, EmptyAndSingleChunkEdges) {
-  ThreadPool pool(2);
-  int produce_calls = 0, consume_calls = 0;
-  pipeline_two_stage(
-      &pool, 0, 8, [&](std::size_t, std::size_t) { ++produce_calls; },
-      [&](std::size_t, std::size_t) { ++consume_calls; });
-  EXPECT_EQ(produce_calls, 0);
-  EXPECT_EQ(consume_calls, 0);
-  pipeline_two_stage(
-      &pool, 5, 8, [&](std::size_t lo, std::size_t hi) {
-        ++produce_calls;
-        EXPECT_EQ(lo, 0u);
-        EXPECT_EQ(hi, 5u);
-      },
-      [&](std::size_t, std::size_t) { ++consume_calls; });
-  EXPECT_EQ(produce_calls, 1);
-  EXPECT_EQ(consume_calls, 1);
-}
-
-TEST(PipelineTwoStage, ZeroChunkTreatedAsOne) {
+TEST(ForBlocks, ZeroBlockTreatedAsOne) {
   std::vector<std::size_t> los;
-  pipeline_two_stage(
-      nullptr, 3, 0, [](std::size_t, std::size_t) {},
-      [&](std::size_t lo, std::size_t hi) {
-        EXPECT_EQ(hi, lo + 1);
-        los.push_back(lo);
-      });
+  for_blocks(nullptr, 3, 0, [&](std::size_t lo, std::size_t hi) {
+    EXPECT_EQ(hi, lo + 1);
+    los.push_back(lo);
+  });
   EXPECT_EQ(los, (std::vector<std::size_t>{0, 1, 2}));
 }
 
-TEST(PipelineTwoStage, ProduceExceptionPropagates) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pipeline_two_stage(
-                   &pool, 1000, 16,
-                   [](std::size_t lo, std::size_t) {
-                     if (lo == 512) throw std::runtime_error("produce");
-                   },
-                   [](std::size_t, std::size_t) {}),
-               std::runtime_error);
-  pool.wait_idle();  // no stranded tasks referencing dead stack frames
+TEST(ForBlocks, FoldAfterPassIdenticalAtAnyPoolSize) {
+  // The in-situ tick's shape: a blocked pass writes per-item state, then a
+  // serial ascending fold reads it. Threads change wall time, never output.
+  auto run = [](ThreadPool* pool) {
+    std::vector<double> item(337);
+    for_blocks(pool, item.size(), 8, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i)
+        item[i] = 1.0 / static_cast<double>(i + 1);
+    });
+    double acc = 0;
+    for (const double v : item) acc += v;
+    return acc;
+  };
+  ThreadPool p2(2), p8(8);
+  const double want = run(nullptr);
+  EXPECT_EQ(run(&p2), want);
+  EXPECT_EQ(run(&p8), want);
 }
 
-TEST(PipelineTwoStage, ConsumeExceptionPropagates) {
+TEST(ForBlocks, ExceptionWaitsForEveryBlockBeforeRethrow) {
+  // Block 0 throws at once while the other blocks are still queued or
+  // running and write into a stack local of the calling frame. for_blocks
+  // must join every block before the exception unwinds that frame.
+  constexpr std::size_t kBlocks = 32;
   ThreadPool pool(4);
-  EXPECT_THROW(pipeline_two_stage(
-                   &pool, 1000, 16, [](std::size_t, std::size_t) {},
-                   [](std::size_t lo, std::size_t) {
-                     if (lo == 512) throw std::runtime_error("consume");
-                   }),
-               std::runtime_error);
+  std::atomic<std::size_t> finished{0};
+  try {
+    std::array<int, kBlocks> local{};
+    for_blocks(&pool, kBlocks, 1, [&](std::size_t lo, std::size_t) {
+      if (lo == 0) throw std::runtime_error("block 0");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      local[lo] = 1;
+      ++finished;
+    });
+    ADD_FAILURE() << "for_blocks did not rethrow";
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(), "block 0");
+    EXPECT_EQ(finished.load(), kBlocks - 1);
+  }
   pool.wait_idle();
 }
 
-TEST(PipelineTwoStage, NestedInsideWorkerRunsInline) {
-  // Same no-deadlock guarantee as parallel_for_blocks: a worker task that
-  // itself pipelines must not wait on the occupied pool.
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  std::vector<std::future<void>> futures;
-  for (int t = 0; t < 4; ++t)
-    futures.push_back(pool.submit([&pool, &total] {
-      pipeline_two_stage(
-          &pool, 100, 10, [](std::size_t, std::size_t) {},
-          [&](std::size_t lo, std::size_t hi) {
-            total += static_cast<int>(hi - lo);
-          });
-    }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(total.load(), 400);
+TEST(ForBlocks, LowestFailingBlockWins) {
+  // Several blocks fail: the rethrown exception is the lowest block's, not
+  // whichever worker happened to fail first.
+  ThreadPool pool(4);
+  for (int rep = 0; rep < 5; ++rep) {
+    try {
+      for_blocks(&pool, 64, 4, [](std::size_t lo, std::size_t) {
+        if (lo == 20 || lo == 40 || lo == 60)
+          throw std::runtime_error(std::to_string(lo));
+      });
+      ADD_FAILURE() << "for_blocks did not rethrow";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "20");
+    }
+  }
+}
+
+TEST(ForBlocks, SerialExceptionStopsAtFailingBlock) {
+  std::vector<std::size_t> los;
+  EXPECT_THROW(for_blocks(nullptr, 10, 2,
+                          [&](std::size_t lo, std::size_t) {
+                            los.push_back(lo);
+                            if (lo == 4) throw std::runtime_error("x");
+                          }),
+               std::runtime_error);
+  EXPECT_EQ(los, (std::vector<std::size_t>{0, 2, 4}));
+}
+
+TEST(ForBlocks, DetBlockRule) {
+  EXPECT_EQ(det_block(100, 512, 16), 512u);
+  EXPECT_EQ(det_block(16000, 512, 16), 1000u);
+  EXPECT_EQ(det_block(16001, 512, 16), 1001u);
+  EXPECT_EQ(block_count(0, 512), 0u);
+  EXPECT_EQ(block_count(100, 512), 1u);
+  EXPECT_EQ(block_count(16001, 1001), 16u);
+}
+
+// BlockScratch: per-block scatter buffers folded in ascending block order.
+// Each check runs for Vec3 (the MD force scatter) and double (the continuum
+// footprint stamps) on 1-, 2- and 8-worker pools.
+
+template <typename T>
+T element(std::size_t b, std::size_t i);
+
+template <>
+double element<double>(std::size_t b, std::size_t i) {
+  // Magnitudes spread over many exponents so the fold order shows in the bits.
+  return std::ldexp(1.0 + 0.37 * static_cast<double>((b * 7919 + i) % 101),
+                    static_cast<int>((b * 13 + i) % 40) - 20);
+}
+
+template <>
+md::Vec3 element<md::Vec3>(std::size_t b, std::size_t i) {
+  return {element<double>(b, i), -element<double>(b + 3, i),
+          element<double>(b, i + 5)};
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+template <typename T>
+bool all_zero(BlockScratch<T>& scratch, std::size_t nblocks,
+              std::size_t span) {
+  const std::vector<T> zero(span, T{});
+  for (std::size_t b = 0; b < nblocks; ++b)
+    if (std::memcmp(scratch.block(b), zero.data(), span * sizeof(T)) != 0)
+      return false;
+  return true;
+}
+
+template <typename T>
+void check_fold_bit_identical_and_zeroed() {
+  constexpr std::size_t kBlocks = 7, kSpan = 9000;  // fold itself fans out
+  std::vector<T> want(kSpan);
+  for (std::size_t i = 0; i < kSpan; ++i) {
+    want[i] = element<T>(99, i);
+    for (std::size_t b = 0; b < kBlocks; ++b) want[i] += element<T>(b, i);
+  }
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    ThreadPool pool(workers);
+    BlockScratch<T> scratch;
+    for (int round = 0; round < 2; ++round) {  // second round reuses buffers
+      scratch.reset(kBlocks, kSpan);
+      for_blocks(&pool, kBlocks, 1, [&](std::size_t b, std::size_t) {
+        T* f = scratch.block(b);
+        for (std::size_t i = 0; i < kSpan; ++i) f[i] += element<T>(b, i);
+      });
+      std::vector<T> out(kSpan);
+      for (std::size_t i = 0; i < kSpan; ++i) out[i] = element<T>(99, i);
+      scratch.fold_into(out.data(), &pool);
+      EXPECT_TRUE(same_bits(out, want)) << workers << " workers";
+      EXPECT_TRUE(all_zero(scratch, kBlocks, kSpan)) << workers << " workers";
+    }
+  }
+}
+
+TEST(BlockScratch, FoldBitIdenticalAndZeroedVec3) {
+  check_fold_bit_identical_and_zeroed<md::Vec3>();
+}
+
+TEST(BlockScratch, FoldBitIdenticalAndZeroedDouble) {
+  check_fold_bit_identical_and_zeroed<double>();
+}
+
+template <typename T>
+void check_reset_after_throw_reclears() {
+  constexpr std::size_t kSpan = 64;
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    ThreadPool pool(workers);
+    BlockScratch<T> scratch;
+    auto scatter_then_throw = [&](std::size_t nblocks) {
+      scratch.reset(nblocks, kSpan);
+      EXPECT_THROW(for_blocks(&pool, nblocks, 1,
+                              [&](std::size_t b, std::size_t) {
+                                T* f = scratch.block(b);
+                                for (std::size_t i = 0; i < kSpan; ++i)
+                                  f[i] += element<T>(b, i);
+                                if (b == 0) throw std::runtime_error("x");
+                              }),
+                   std::runtime_error);
+    };
+    // Same shape: the reset after the throw re-clears every block.
+    scatter_then_throw(4);
+    scratch.reset(4, kSpan);
+    EXPECT_TRUE(all_zero(scratch, 4, kSpan)) << workers << " workers";
+    // Shrink after the throw, fold, then grow back: the blocks the smaller
+    // shape never used must not come back dirty.
+    scatter_then_throw(4);
+    scratch.reset(2, kSpan);
+    std::vector<T> out(kSpan);
+    scratch.fold_into(out.data(), &pool);
+    EXPECT_TRUE(same_bits(out, std::vector<T>(kSpan))) << workers;
+    scratch.reset(4, kSpan);
+    EXPECT_TRUE(all_zero(scratch, 4, kSpan)) << workers << " workers";
+  }
+}
+
+TEST(BlockScratch, ResetAfterThrowReclearsVec3) {
+  check_reset_after_throw_reclears<md::Vec3>();
+}
+
+TEST(BlockScratch, ResetAfterThrowReclearsDouble) {
+  check_reset_after_throw_reclears<double>();
 }
 
 TEST(ThreadPool, SizeMatchesRequest) {

@@ -129,15 +129,15 @@ TEST(InSituProperty, ThreadSweepBitIdentical) {
 }
 
 TEST(InSituProperty, ChunkBoundarySimCounts) {
-  // Payload counts straddling the chunk and sub-block constants: the fold
-  // must stay ascending and complete exactly at the pipeline seams.
+  // Payload counts straddling the sub-block constant (one to several
+  // blocks, partial last block): the fold must stay ascending and complete.
   util::ThreadPool pool(4);
   InSituConfig cfg;
   cfg.pool = &pool;
   InSituPlane plane(5, cfg);
   for (const std::size_t n :
-       {kInSituSubBlock - 1, kInSituSubBlock, kInSituChunk - 1, kInSituChunk,
-        kInSituChunk + 1, 2 * kInSituChunk + 3}) {
+       {kInSituSubBlock - 1, kInSituSubBlock, kInSituSubBlock + 1,
+        4 * kInSituSubBlock - 1, 4 * kInSituSubBlock, 8 * kInSituSubBlock + 3}) {
     std::vector<std::uint64_t> payloads(n);
     for (std::size_t i = 0; i < n; ++i) payloads[i] = 10 * (i + 1);
     std::vector<std::uint64_t> seen;
