@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <string_view>
 
@@ -44,6 +45,13 @@ struct GlobCase {
   const char* text;
   bool expect;
 };
+
+// Test IDs embed the printed parameter; without this, gtest prints the raw
+// struct bytes, whose string addresses change from run to run.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << '"' << c.pattern << "\" vs \"" << c.text << "\" " << std::boolalpha
+      << c.expect;
+}
 
 class GlobMatch : public ::testing::TestWithParam<GlobCase> {};
 
