@@ -8,8 +8,9 @@
 // bench_outputs/resilience.json so the curve can be replotted without rerun.
 //
 // --crash-sweep instead runs the crash-consistency sweep (DESIGN.md 4i):
-// every registered persistence boundary is killed once — campaign checkpoint
-// ticks at a fixed tick, store operations mid-flight — recovery is attempted
+// every registered persistence boundary is killed once — one journal-append
+// and one compaction checkpoint tick of a campaign, store operations
+// mid-flight — recovery is attempted
 // over the crashed on-disk state, and within-durability-group science
 // fingerprints are compared. bench_outputs/crash_recovery.json reports
 // points swept, recoveries and divergences (the contract demands zero).
@@ -123,23 +124,45 @@ wm::CampaignConfig crash_sweep_config(const std::string& ckpt_path) {
   return cfg;
 }
 
-/// Campaign half: kill checkpoint tick k at each boundary, resume, and
-/// require byte-identical science fingerprints within each durability group.
+/// Campaign half: kill one journal-append tick and one compaction tick at
+/// each of their boundaries, resume, and require byte-identical science
+/// fingerprints within each durability group.
 void sweep_campaign(const std::filesystem::path& dir,
                     std::vector<SweepRow>& rows) {
-  const std::vector<std::string> pre_group = {
-      "wm.checkpoint.pre", "supervise.ledger.serialize", "ckpt.save.pre_tmp",
-      "util.write_file.pre", "util.write_file.mid"};
-  const std::vector<std::string> post_group = {
-      "util.write_file.post", "ckpt.save.post_tmp", "ckpt.save.post_bak",
-      "ckpt.save.post_rename", "wm.checkpoint.post"};
+  using Group = std::vector<std::string>;
+  const Group append_pre = {"wm.checkpoint.pre", "supervise.ledger.serialize",
+                            "ckpt.journal.append.pre",
+                            "ckpt.journal.append.mid"};
+  const Group append_post = {"ckpt.journal.append.post", "wm.checkpoint.post"};
+  const Group base_pre = {"wm.checkpoint.pre", "supervise.ledger.serialize",
+                          "ckpt.save.pre_tmp", "util.write_file.pre",
+                          "util.write_file.mid"};
+  const Group base_post = {"util.write_file.post",  "ckpt.save.post_tmp",
+                           "ckpt.save.post_bak",    "ckpt.save.post_rename",
+                           "wm.checkpoint.compact.pre_reset",
+                           "wm.checkpoint.post"};
 
   fault::ScopedCrashHarness harness;
   auto& reg = harness.registry();
-  const std::uint64_t k = 2;  // steady-state tick: generation k-1 exists
+  // Observe which ticks append and which write a base, then kill the first
+  // steady-state tick (k >= 2: a previous state exists) of each kind.
+  (void)wm::Campaign(crash_sweep_config((dir / "observe.ckpt").string())).run();
+  const auto ticks = fault::split_hit_order(
+      reg.hit_order(), "wm.checkpoint.pre", "wm.checkpoint.post");
+  const fault::HitSegment* append_tick = nullptr;
+  const fault::HitSegment* base_tick = nullptr;
+  for (std::size_t t = 1; t < ticks.size(); ++t) {
+    auto& slot = ticks[t].crossed("ckpt.save.pre_tmp") ? base_tick : append_tick;
+    if (slot == nullptr) slot = &ticks[t];
+  }
 
   int idx = 0;
-  for (const auto* group : {&pre_group, &post_group}) {
+  const std::pair<const fault::HitSegment*, const Group*> shots[] = {
+      {append_tick, &append_pre},
+      {append_tick, &append_post},
+      {base_tick, &base_pre},
+      {base_tick, &base_post}};
+  for (const auto& [tick, group] : shots) {
     util::Bytes reference;
     for (const auto& point : *group) {
       SweepRow row;
@@ -148,13 +171,15 @@ void sweep_campaign(const std::filesystem::path& dir,
       auto cfg = crash_sweep_config(
           (dir / ("campaign_" + std::to_string(idx++) + ".ckpt")).string());
       reg.reset();
-      reg.arm(point, k);
-      try {
-        (void)wm::Campaign(cfg).run();
-      } catch (const fault::SimulatedCrash&) {
-        row.crashed = true;
+      if (tick != nullptr && tick->crossed(point)) {
+        reg.arm(point, tick->nth.at(point));
+        try {
+          (void)wm::Campaign(cfg).run();
+        } catch (const fault::SimulatedCrash&) {
+          row.crashed = true;
+        }
+        reg.disarm();
       }
-      reg.disarm();
       if (row.crashed) {
         const auto result = wm::Campaign(cfg).run();
         row.recovered =
@@ -163,7 +188,7 @@ void sweep_campaign(const std::filesystem::path& dir,
         if (reference.empty()) reference = fp;
         row.divergent = fp != reference;
       }
-      std::printf("  %-28s crashed=%d recovered=%d divergent=%d\n",
+      std::printf("  %-32s crashed=%d recovered=%d divergent=%d\n",
                   point.c_str(), row.crashed, row.recovered, row.divergent);
       rows.push_back(std::move(row));
     }
@@ -194,7 +219,7 @@ void sweep_stores(const std::filesystem::path& dir,
     }
     reg.disarm();
     if (row.crashed) row.recovered = verify();
-    std::printf("  %-28s crashed=%d recovered=%d\n", point.c_str(),
+    std::printf("  %-32s crashed=%d recovered=%d\n", point.c_str(),
                 row.crashed, row.recovered);
     rows.push_back(std::move(row));
   };
@@ -258,6 +283,23 @@ void sweep_stores(const std::filesystem::path& dir,
         [&] {
           const auto got = util::CheckpointFile(p).load();
           return got && old_xor_new(*got, old_v, new_v);
+        });
+  }
+
+  // CheckpointJournal::append at each boundary: the journal keeps the old
+  // record alone or both, never a torn one.
+  const util::CheckpointId base{1, 1};
+  for (const char* point : {"ckpt.journal.append.pre", "ckpt.journal.append.mid",
+                            "ckpt.journal.append.post"}) {
+    const std::string p = (dir / ("journal_" + std::to_string(idx++))).string();
+    util::CheckpointJournal journal(p);
+    (void)journal.append(base, 0, old_v);
+    run_case(
+        point, 1, [&] { (void)journal.append(base, 1, new_v); },
+        [&] {
+          const auto got = util::CheckpointJournal(p).scan(base);
+          return (got.size() == 1 || (got.size() == 2 && got[1] == new_v)) &&
+                 got[0] == old_v;
         });
   }
 

@@ -49,8 +49,9 @@ run_bench bench_table1_campaign table1.json --small
 run_bench bench_resilience resilience.json
 
 # Crash-recovery contract: the crash-point sweep kills the persistence layer
-# at every registered boundary (21 points: checkpoint save chain, FsStore
-# put/move/del, tar append/flush, campaign checkpoint ticks), recovers, and
+# at every registered boundary (25 points: checkpoint save chain, journal
+# append, FsStore put/move/del, tar append/flush, campaign append and
+# compaction ticks), recovers, and
 # compares within-durability-group science fingerprints. Every armed point
 # must crash, every crash must recover, and nothing may diverge.
 run_bench bench_resilience crash_recovery.json --crash-sweep
@@ -61,8 +62,8 @@ check_crash_recovery() {
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-if doc.get("points_swept", 0) < 21:
-    sys.exit(f"{sys.argv[1]}: expected >= 21 crash points swept: {doc.get('points_swept')}")
+if doc.get("points_swept", 0) < 25:
+    sys.exit(f"{sys.argv[1]}: expected >= 25 crash points swept: {doc.get('points_swept')}")
 if doc.get("divergences", -1) != 0:
     sys.exit(f"{sys.argv[1]}: crash/resume divergence detected: {doc.get('divergences')}")
 if doc.get("crashes", 0) != doc.get("recoveries", -1):

@@ -76,6 +76,14 @@ echo "=== tier 1: ASan+UBSan build, crash-point sweep ==="
 ./build-asan/tests/mummi_tests \
   --gtest_filter='*CrashPoint*:*CrashConsistency*:*CrashSweep*:*Checkpoint*'
 
+echo "=== tier 1: ASan+UBSan build, checkpoint journal decoder contract ==="
+# Journal records and selector mutation logs are decoded from disk on every
+# resume: torn tails, flipped bits, inflated lengths, stale or foreign bases
+# and diverging replays must keep a valid prefix or throw FormatError, with
+# no out-of-bounds read and no allocation beyond the input.
+./build-asan/tests/mummi_tests \
+  --gtest_filter='CheckpointJournalTest.*:SelectorLog.*:Resilience.*Journal*'
+
 echo "=== tier 1: TSan build, concurrent KV + feedback tests ==="
 # The shared-lock shards, pooled scans/mgets and batch retry paths are the
 # code that races if anything does; run them under ThreadSanitizer.

@@ -22,6 +22,7 @@ void CrashPointRegistry::uninstall() { util::set_crash_point_hook({}); }
 void CrashPointRegistry::reset() {
   std::lock_guard lock(mutex_);
   hits_.clear();
+  order_.clear();
   armed_ = false;
   fired_ = false;
   armed_point_.clear();
@@ -49,6 +50,7 @@ void CrashPointRegistry::hit(const char* point) {
   {
     std::lock_guard lock(mutex_);
     const std::uint64_t count = ++hits_[point];
+    if (order_.size() < kMaxOrder) order_.emplace_back(point);
     if (armed_ && armed_point_ == point && count == armed_nth_) {
       // Fire exactly once: recovery code re-executing this boundary in the
       // same process must sail through.
@@ -81,9 +83,33 @@ std::vector<std::string> CrashPointRegistry::points() const {
   return out;  // std::map iteration is already ascending
 }
 
+std::vector<std::string> CrashPointRegistry::hit_order() const {
+  std::lock_guard lock(mutex_);
+  return order_;
+}
+
 bool CrashPointRegistry::fired() const {
   std::lock_guard lock(mutex_);
   return fired_;
+}
+
+std::vector<HitSegment> split_hit_order(const std::vector<std::string>& order,
+                                        const std::string& open,
+                                        const std::string& close) {
+  std::vector<HitSegment> segments;
+  std::map<std::string, std::uint64_t> count;
+  bool inside = false;
+  for (const auto& point : order) {
+    const std::uint64_t n = ++count[point];
+    if (point == open) {
+      segments.emplace_back();
+      inside = true;
+    }
+    if (!inside) continue;
+    segments.back().nth.emplace(point, n);  // first hit inside the segment
+    if (point == close) inside = false;
+  }
+  return segments;
 }
 
 std::vector<CrashShot> CrashPointRegistry::plan(

@@ -58,6 +58,10 @@ inline constexpr const char* kCrashPoints[] = {
     "ckpt.save.post_tmp",     // .tmp holds the newest complete frame
     "ckpt.save.post_bak",     // primary rotated away; .tmp is the only copy
     "ckpt.save.post_rename",  // new primary in place
+    // util::CheckpointJournal::append
+    "ckpt.journal.append.pre",   // journal untouched
+    "ckpt.journal.append.mid",   // header + half the body down (torn record)
+    "ckpt.journal.append.post",  // record complete
     // ds::FsStore
     "fs.put.pre_tmp",       // destination untouched
     "fs.put.post_tmp",      // sibling .tmp complete, destination still old
@@ -74,6 +78,7 @@ inline constexpr const char* kCrashPoints[] = {
     // campaign / supervision checkpoint path
     "wm.checkpoint.pre",           // before serializing campaign state
     "wm.checkpoint.post",          // checkpoint fully durable
+    "wm.checkpoint.compact.pre_reset",  // new base durable, journal not reset
     "supervise.ledger.serialize",  // quarantine ledger entering the blob
 };
 
@@ -111,6 +116,10 @@ class CrashPointRegistry {
   [[nodiscard]] std::map<std::string, std::uint64_t> hit_counts() const;
   /// Point names observed since the last reset(), ascending.
   [[nodiscard]] std::vector<std::string> points() const;
+  /// Every hit since the last reset(), in hit order (the first kMaxOrder):
+  /// lets a sweep tell which boundaries one checkpoint tick crossed.
+  [[nodiscard]] std::vector<std::string> hit_order() const;
+  static constexpr std::size_t kMaxOrder = 1 << 16;
   /// True once the armed shot fired (throw mode only, by construction).
   [[nodiscard]] bool fired() const;
 
@@ -126,12 +135,29 @@ class CrashPointRegistry {
 
   mutable std::mutex mutex_;
   std::map<std::string, std::uint64_t> hits_;
+  std::vector<std::string> order_;
   bool armed_ = false;
   bool fired_ = false;
   std::string armed_point_;
   std::uint64_t armed_nth_ = 0;
   CrashAction action_ = CrashAction::kThrow;
 };
+
+/// One stretch of a hit order from an `open` point through the next `close`
+/// point (for a campaign: one checkpoint tick), with the 1-based hit index of
+/// every point crossed inside it, so arm(point, nth.at(point)) kills exactly
+/// this stretch.
+struct HitSegment {
+  std::map<std::string, std::uint64_t> nth;
+  [[nodiscard]] bool crossed(const std::string& point) const {
+    return nth.count(point) > 0;
+  }
+};
+
+/// Splits CrashPointRegistry::hit_order() into its open..close segments.
+[[nodiscard]] std::vector<HitSegment> split_hit_order(
+    const std::vector<std::string>& order, const std::string& open,
+    const std::string& close);
 
 /// RAII harness for tests: installs the singleton registry on construction,
 /// disarms + uninstalls (and optionally resets) on destruction, so a failing

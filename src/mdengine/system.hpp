@@ -17,6 +17,10 @@ struct Bond {
   real k;
 };
 
+static_assert(sizeof(Vec3) == 3 * sizeof(real), "Vec3 must pack tightly");
+static_assert(sizeof(Bond) == 2 * sizeof(int) + 2 * sizeof(real),
+              "Bond must pack tightly");
+
 /// Harmonic angle i-j-k: V = k/2 (theta - theta0)^2.
 struct Angle {
   int i, j, k;
@@ -76,3 +80,10 @@ struct System {
 };
 
 }  // namespace mummi::md
+
+// System::serialize copies these raw (the static_asserts above prove there is
+// no padding); Angle is padded and is written field by field instead.
+template <>
+inline constexpr bool mummi::util::kPackedRecord<mummi::md::Vec3> = true;
+template <>
+inline constexpr bool mummi::util::kPackedRecord<mummi::md::Bond> = true;

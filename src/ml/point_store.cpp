@@ -1,6 +1,8 @@
 #include "ml/point_store.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -54,10 +56,14 @@ void PointStore::serialize(util::ByteWriter& w) const {
 }
 
 PointStore PointStore::deserialize(util::ByteReader& r) {
-  PointStore s(static_cast<int>(r.u32()));
+  const auto dim = r.u32();
+  if (dim == 0 || dim > static_cast<std::uint32_t>(INT32_MAX))
+    throw util::FormatError("corrupt point store: dimension " +
+                            std::to_string(dim));
+  PointStore s(static_cast<int>(dim));
   s.ids_ = r.vec<PointId>();
   s.coords_ = r.vec<float>();
-  if (s.coords_.size() != s.ids_.size() * static_cast<std::size_t>(s.dim_))
+  if (s.coords_.size() % dim != 0 || s.coords_.size() / dim != s.ids_.size())
     throw util::FormatError("corrupt point store: id/coord count mismatch");
   return s;
 }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -17,6 +18,19 @@
 namespace mummi::util {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// A struct opts in to ByteWriter::vec by specializing this to true beside a
+/// `static_assert(sizeof(T) == <sum of its field sizes>)`: a record with
+/// padding would copy indeterminate bytes into the stream, so equal values
+/// could encode differently (see md::Angle, written field by field instead).
+template <typename T>
+inline constexpr bool kPackedRecord = false;
+
+/// Element types ByteWriter::vec may copy raw: arithmetic scalars and opted-in
+/// packed records. Anything else does not compile.
+template <typename T>
+concept RawCodable = std::is_arithmetic_v<T> ||
+                     (kPackedRecord<T> && std::is_trivially_copyable_v<T>);
 
 class ByteWriter {
  public:
@@ -37,9 +51,8 @@ class ByteWriter {
     raw(b.data(), b.size());
   }
 
-  template <typename T>
+  template <RawCodable T>
   void vec(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
     u64(v.size());
     raw(v.data(), v.size() * sizeof(T));
   }

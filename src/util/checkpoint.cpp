@@ -22,20 +22,24 @@ constexpr std::uint64_t kMagicV2 = 0x4d754d4d49434b50ULL;
 // rotation and the final rename leaves the newest frame only in .tmp, and
 // without generations that frame was silently discarded for the older .bak.
 constexpr std::uint64_t kMagicV3 = 0x4d754d4d49434b33ULL;
+// Journal record ("MuMMIJR1"): magic, body size, fnv1a(body), body.
+constexpr std::uint64_t kJournalMagic = 0x4d754d4d494a5231ULL;
+constexpr std::size_t kJournalHeader = 3 * sizeof(std::uint64_t);
+constexpr std::size_t kJournalBodyHeader = 3 * sizeof(std::uint64_t);
 
-Bytes frame(const Bytes& payload, std::uint64_t generation) {
+Bytes frame(const Bytes& payload, const CheckpointId& id) {
   ByteWriter w;
   w.u64(kMagicV3);
-  w.u64(generation);
+  w.u64(id.generation);
   w.u64(payload.size());
-  w.u64(fnv1a(payload.data(), payload.size()));
+  w.u64(id.checksum);
   w.raw(payload.data(), payload.size());
   return std::move(w).take();
 }
 
 struct Unframed {
   Bytes payload;
-  std::uint64_t generation = 0;
+  CheckpointId id;
 };
 
 std::optional<Unframed> unframe(const Bytes& raw) {
@@ -44,7 +48,7 @@ std::optional<Unframed> unframe(const Bytes& raw) {
     const auto magic = r.u64();
     Unframed out;
     if (magic == kMagicV3) {
-      out.generation = r.u64();
+      out.id.generation = r.u64();
     } else if (magic != kMagicV2) {
       return std::nullopt;  // v2 frames carry generation 0
     }
@@ -55,6 +59,7 @@ std::optional<Unframed> unframe(const Bytes& raw) {
     r.raw(out.payload.data(), size);
     if (fnv1a(out.payload.data(), out.payload.size()) != checksum)
       return std::nullopt;
+    out.id.checksum = checksum;
     return out;
   } catch (const FormatError&) {
     return std::nullopt;
@@ -158,8 +163,10 @@ std::uint64_t CheckpointFile::next_generation() const {
   return ++gen_;
 }
 
-void CheckpointFile::save(const Bytes& payload) const {
-  const Bytes framed = frame(payload, next_generation());
+CheckpointId CheckpointFile::save(const Bytes& payload) const {
+  const CheckpointId id{next_generation(),
+                        fnv1a(payload.data(), payload.size())};
+  const Bytes framed = frame(payload, id);
   const std::string tmp = path_ + ".tmp";
   crash_point("ckpt.save.pre_tmp");
   write_file(tmp, framed, retry_);
@@ -177,9 +184,16 @@ void CheckpointFile::save(const Bytes& payload) const {
   if (ec) throw IoError("checkpoint rename failed: " + path_ + ": " + ec.message());
   crash_point("ckpt.save.post_rename");
   persist_event("ckpt.generations");
+  return id;
 }
 
 std::optional<Bytes> CheckpointFile::load() const {
+  auto got = load_latest();
+  if (!got) return std::nullopt;
+  return std::move(got->payload);
+}
+
+std::optional<LoadedCheckpoint> CheckpointFile::load_latest() const {
   // Highest valid generation wins; ties (legacy v2 frames are all
   // generation 0) keep the historical preference order primary > bak > tmp.
   struct Candidate {
@@ -196,23 +210,23 @@ std::optional<Bytes> CheckpointFile::load() const {
     if (!raw) continue;
     auto got = unframe(*raw);
     if (!got) continue;
-    if (!best || got->generation > best->generation) {
+    if (!best || got->id.generation > best->id.generation) {
       best = std::move(got);
       winner = c.label;
     }
   }
   if (!best) return std::nullopt;
   // Keep future saves ahead of whatever we just recovered.
-  if (!gen_known_ || gen_ < best->generation) {
-    gen_ = best->generation;
+  if (!gen_known_ || gen_ < best->id.generation) {
+    gen_ = best->id.generation;
     gen_known_ = true;
   }
   if (winner != candidates[0].label) {
     log_warn("checkpoint primary invalid or stale, recovered generation ",
-             best->generation, " from ", winner, ": ", path_);
+             best->id.generation, " from ", winner, ": ", path_);
     persist_event("ckpt.recovered_from");
   }
-  return std::move(best->payload);
+  return LoadedCheckpoint{std::move(best->payload), best->id};
 }
 
 bool CheckpointFile::exists() const {
@@ -224,6 +238,117 @@ void CheckpointFile::remove() const {
   remove_file(path_);
   remove_file(path_ + ".bak");
   remove_file(path_ + ".tmp");
+}
+
+CheckpointJournal::CheckpointJournal(std::string path, IoRetryPolicy retry)
+    : path_(std::move(path)), retry_(std::move(retry)) {}
+
+std::size_t CheckpointJournal::append(const CheckpointId& base,
+                                      std::uint64_t seq,
+                                      const Bytes& payload) const {
+  ByteWriter body;
+  body.u64(base.generation);
+  body.u64(base.checksum);
+  body.u64(seq);
+  body.raw(payload.data(), payload.size());
+  ByteWriter head;
+  head.u64(kJournalMagic);
+  head.u64(body.size());
+  head.u64(fnv1a(body.data().data(), body.size()));
+  const Bytes& b = body.data();
+  // The torn window splits the body, so "mid" leaves a record whose header
+  // promises more bytes than the file holds.
+  const std::size_t split = b.size() / 2;
+
+  std::error_code ec;
+  const std::uintmax_t old_size =
+      fs::exists(path_, ec) ? fs::file_size(path_, ec) : 0;
+  Rng jitter_rng(retry_.jitter_seed ^ fnv1a(path_));
+  const SleepFn& sleep = retry_.sleep ? retry_.sleep : wall_sleeper();
+  int attempt = 0;
+  crash_point("ckpt.journal.append.pre");
+  const bool ok = retry_with_backoff(retry_.backoff, jitter_rng, sleep, [&] {
+    if (attempt > 0) {
+      log_warn("journal append retry ", attempt, " for ", path_);
+      std::error_code trim;
+      if (fs::exists(path_, trim)) fs::resize_file(path_, old_size, trim);
+    }
+    ++attempt;
+    std::ofstream out(path_, std::ios::binary | std::ios::app);
+    if (!out) return false;
+    out.write(reinterpret_cast<const char*>(head.data().data()),
+              static_cast<std::streamsize>(head.size()));
+    out.write(reinterpret_cast<const char*>(b.data()),
+              static_cast<std::streamsize>(split));
+    out.flush();
+    crash_point("ckpt.journal.append.mid");
+    out.write(reinterpret_cast<const char*>(b.data() + split),
+              static_cast<std::streamsize>(b.size() - split));
+    out.flush();
+    return static_cast<bool>(out);
+  });
+  if (!ok) throw IoError("journal append failed after retries: " + path_);
+  crash_point("ckpt.journal.append.post");
+  return head.size() + b.size();
+}
+
+void CheckpointJournal::reset() const { remove_file(path_); }
+
+std::vector<Bytes> CheckpointJournal::scan(const CheckpointId& base) const {
+  const auto raw = read_file(path_);
+  if (!raw) return {};
+  return parse(*raw, base);
+}
+
+std::vector<Bytes> CheckpointJournal::parse(const Bytes& raw,
+                                            const CheckpointId& base) {
+  std::vector<Bytes> out;
+  std::size_t off = 0;
+  const auto keep_prefix = [&] {
+    log_warn("checkpoint journal: damaged record at offset ", off,
+             ", keeping the ", out.size(), " records before it");
+  };
+  while (off < raw.size()) {
+    // Every size is checked against the bytes actually present before
+    // anything is read or allocated.
+    const std::size_t left = raw.size() - off;
+    if (left < kJournalHeader) {
+      keep_prefix();
+      break;
+    }
+    ByteReader h(raw.data() + off, kJournalHeader);
+    const std::uint64_t magic = h.u64();
+    const std::uint64_t size = h.u64();
+    const std::uint64_t sum = h.u64();
+    const std::uint8_t* body = raw.data() + off + kJournalHeader;
+    if (magic != kJournalMagic || size < kJournalBodyHeader ||
+        size > left - kJournalHeader ||
+        fnv1a(body, static_cast<std::size_t>(size)) != sum) {
+      keep_prefix();
+      break;
+    }
+    ByteReader r(body, static_cast<std::size_t>(size));
+    const CheckpointId id{r.u64(), r.u64()};
+    const std::uint64_t seq = r.u64();
+    if (id != base) {
+      if (!out.empty())
+        throw FormatError("checkpoint journal: record " + std::to_string(seq) +
+                          " extends base generation " +
+                          std::to_string(id.generation) +
+                          " after records of generation " +
+                          std::to_string(base.generation));
+      log_warn("checkpoint journal extends base generation ", id.generation,
+               ", not ", base.generation, "; ignoring it");
+      break;
+    }
+    if (seq != out.size())
+      throw FormatError("checkpoint journal: record seq " + std::to_string(seq) +
+                        " where " + std::to_string(out.size()) + " was due");
+    out.emplace_back(body + kJournalBodyHeader,
+                     body + static_cast<std::size_t>(size));
+    off += kJournalHeader + static_cast<std::size_t>(size);
+  }
+  return out;
 }
 
 }  // namespace mummi::util

@@ -16,12 +16,17 @@
 // (ckpt.save.pre_tmp / post_tmp / post_bak / post_rename); the crash-point
 // sweep (tests + bench_resilience --crash-sweep) kills a run at each of them
 // and proves recovery, per the crash-consistency contract in DESIGN.md 4i.
+//
+// CheckpointJournal is the append-only companion of a base image: each
+// record names the base it extends, so a save that changed little costs
+// little, and recovery keeps the longest valid prefix of records.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "util/backoff.hpp"
 #include "util/bytes.hpp"
@@ -39,6 +44,20 @@ struct IoRetryPolicy {
   std::uint64_t jitter_seed = 0x10aded;  // deterministic jitter stream
 };
 
+/// Names one saved frame: its generation and payload checksum. Journal
+/// records carry the id of the base they extend; a record naming any other
+/// base (stale after a compaction, or foreign) never applies to this one.
+struct CheckpointId {
+  std::uint64_t generation = 0;
+  std::uint64_t checksum = 0;
+  friend bool operator==(const CheckpointId&, const CheckpointId&) = default;
+};
+
+struct LoadedCheckpoint {
+  Bytes payload;
+  CheckpointId id;
+};
+
 class CheckpointFile {
  public:
   /// `path` is the primary checkpoint location; "<path>.bak" holds the
@@ -50,8 +69,8 @@ class CheckpointFile {
 
   /// Atomically replaces the checkpoint with `payload`, stamped with the
   /// next generation. Keeps the previous version as backup. Throws IoError
-  /// after retries.
-  void save(const Bytes& payload) const;
+  /// after retries. Returns the id of the frame written.
+  CheckpointId save(const Bytes& payload) const;
 
   /// Loads the newest complete checkpoint: the highest-generation candidate
   /// among {primary, .bak, .tmp} that passes its checksum (ties — legacy v2
@@ -59,6 +78,8 @@ class CheckpointFile {
   /// (`ckpt.recovered_from`) when a non-primary wins. Returns nullopt when
   /// no valid candidate exists.
   [[nodiscard]] std::optional<Bytes> load() const;
+  /// load() plus the id of the frame that won.
+  [[nodiscard]] std::optional<LoadedCheckpoint> load_latest() const;
 
   /// True if any of primary / .bak / .tmp exists (validity not checked).
   [[nodiscard]] bool exists() const;
@@ -79,6 +100,47 @@ class CheckpointFile {
   // load() are logically const (the checkpoint *content* is the state).
   mutable std::uint64_t gen_ = 0;
   mutable bool gen_known_ = false;
+};
+
+/// Append-only log of records extending one base checkpoint. A record is
+///   u64 magic, u64 body size, u64 fnv1a(body),
+///   body = u64 base generation, u64 base checksum, u64 seq, payload,
+/// so the checksum covers everything past the size field. Records of one
+/// base run seq 0, 1, 2, ...; a new base starts a new journal (reset()).
+class CheckpointJournal {
+ public:
+  explicit CheckpointJournal(std::string path, IoRetryPolicy retry = {});
+
+  /// Appends one record; returns the bytes written. A failed attempt is cut
+  /// back to the old end before it is retried, so a retry never leaves a
+  /// torn record mid-file. Throws IoError after retries.
+  std::size_t append(const CheckpointId& base, std::uint64_t seq,
+                     const Bytes& payload) const;
+
+  /// Empties the journal (its records folded into a new base).
+  void reset() const;
+
+  /// Reads the journal on disk (missing = empty); see parse().
+  [[nodiscard]] std::vector<Bytes> scan(const CheckpointId& base) const;
+
+  /// The payloads, in seq order, of the records of `raw` that extend `base`.
+  /// A torn, truncated or
+  /// checksum-failing record ends the valid prefix (it and everything after
+  /// it is dropped, with a warning) at any offset: the base is a complete
+  /// state on its own, so every prefix is a consistent resume point. A
+  /// journal whose first record names another base is ignored whole (the
+  /// crash window between a compaction's new base and its journal reset).
+  /// Records that pass their checksum yet cannot follow the prefix — a seq
+  /// gap, or a different base after records of this one — throw FormatError.
+  /// Allocation is bounded by the input size.
+  [[nodiscard]] static std::vector<Bytes> parse(const Bytes& raw,
+                                                const CheckpointId& base);
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  IoRetryPolicy retry_;
 };
 
 /// Reads a whole file into bytes; nullopt if it does not exist.

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "fault/fault_injector.hpp"
@@ -27,6 +28,11 @@ constexpr std::uint64_t kFrameIdBase = 1ULL << 40;  // keep ids disjoint
 constexpr double kFilesPerCgFrame = 5.0;
 
 constexpr std::uint32_t kCheckpointVersion = 3;  // v3: in-situ accumulators
+
+/// A save folds the journal into a new base once the journal holds more than
+/// this fraction of the base's bytes: replay then never costs more than
+/// half a base, and a base is rewritten at most every few saves.
+constexpr double kJournalCompactFraction = 0.5;
 
 void write_str_list(util::ByteWriter& w, const std::vector<std::string>& v) {
   w.u64(v.size());
@@ -299,6 +305,14 @@ void Campaign::run_one(int nodes, double walltime_h, CampaignResult& result,
     // the checkpoint, then line up the payloads that were in flight when it
     // was taken ahead of fresh work.
     wm.restore(resume_->wm_blob);
+    // Journal records after the base: replay the selector logs in order
+    // (each selection is checked against its record), then take the newest
+    // record's buffers; its empty selector slots leave the replay intact.
+    for (std::size_t i = 0; i < resume_->patch_logs.size(); ++i) {
+      patch_selector_->replay(resume_->patch_logs[i]);
+      frame_selector_->replay(resume_->frame_logs[i]);
+    }
+    if (!resume_->wm_tail.empty()) wm.restore(resume_->wm_tail);
     auto restored = wm.carry_over();
     for (auto it = resume_->inflight_cg.rbegin();
          it != resume_->inflight_cg.rend(); ++it)
@@ -586,8 +600,10 @@ void Campaign::run_one(int nodes, double walltime_h, CampaignResult& result,
   engine.schedule_after(config_.profile_interval_s, profile_tick);
 
   // --- periodic checkpoint + simulated crash -------------------------------
-  auto save_checkpoint = [&] {
-    util::ByteWriter w;
+  // One state image serves both save kinds (DESIGN.md 4i): a base carries
+  // the selectors in full; a journal record carries the selector mutation
+  // logs since the previous save, then the same image without selectors.
+  auto encode_state = [&](util::ByteWriter& w, bool with_selectors) {
     w.u32(kCheckpointVersion);
     w.u64(flat_run_);
     w.f64(hours_at_run_start);
@@ -600,50 +616,62 @@ void Campaign::run_one(int nodes, double walltime_h, CampaignResult& result,
     w.u64(next_patch_id_);
     w.u64(next_frame_id_);
 
-    // In-flight work in ascending job-id (submission) order; running sims'
-    // checkpointed progress includes time since they started.
-    std::vector<std::uint64_t> fly_cg, fly_aa, fly_cg_setup, fly_aa_setup;
-    std::unordered_map<std::uint64_t, double> running_for;
-    // A payload may be in flight twice (original + speculative twin); it must
-    // resume exactly once.
-    std::set<std::uint64_t> seen_cg, seen_aa, seen_cg_setup, seen_aa_setup;
-    auto push_unique = [](std::vector<std::uint64_t>& v,
-                          std::set<std::uint64_t>& seen, std::uint64_t p) {
-      if (seen.insert(p).second) v.push_back(p);
-    };
+    // In-flight work in ascending job-id (submission) order. A payload may
+    // be in flight twice (original + speculative twin); it must resume
+    // exactly once, so one pass dedups on (payload, type).
+    enum { kCgSim, kAaSim, kCgSetup, kAaSetup, kFlyKinds };
+    std::vector<std::uint64_t> fly[kFlyKinds];
+    // Running sims' checkpointed progress includes time since they started;
+    // (payload, seconds running) in job order, so a twin's entry wins.
+    std::vector<std::pair<std::uint64_t, double>> running_for;
     auto active = scheduler.active_jobs();
     std::sort(active.begin(), active.end());
+    std::unordered_set<std::uint64_t> seen;
+    seen.reserve(active.size());
     for (const sched::JobId id : active) {
       const sched::Job& job = scheduler.job(id);
       const auto& type = job.spec.type;
+      int kind = 0;
       if (type == "cg_sim")
-        push_unique(fly_cg, seen_cg, job.spec.payload);
+        kind = kCgSim;
       else if (type == "aa_sim")
-        push_unique(fly_aa, seen_aa, job.spec.payload);
+        kind = kAaSim;
       else if (type == "cg_setup")
-        push_unique(fly_cg_setup, seen_cg_setup, job.spec.payload);
+        kind = kCgSetup;
       else if (type == "aa_setup")
-        push_unique(fly_aa_setup, seen_aa_setup, job.spec.payload);
+        kind = kAaSetup;
       else
         continue;
+      // Payload ids stay far below 2^62, so the low two bits hold the kind.
+      if (seen.insert(job.spec.payload << 2 | static_cast<unsigned>(kind))
+              .second)
+        fly[kind].push_back(job.spec.payload);
       // Hung jobs accrue no progress; their sims resume from the last
       // checkpointed position instead.
-      if (job.state == sched::JobState::kRunning && !executor.is_hung(id) &&
-          (type == "cg_sim" || type == "aa_sim"))
-        running_for[job.spec.payload] = engine.now() - job.start_time;
+      if ((kind == kCgSim || kind == kAaSim) &&
+          job.state == sched::JobState::kRunning && !executor.is_hung(id))
+        running_for.emplace_back(job.spec.payload,
+                                 engine.now() - job.start_time);
     }
 
     std::vector<std::pair<std::uint64_t, LogicalSim>> snap(sims_.begin(),
                                                            sims_.end());
     std::sort(snap.begin(), snap.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<double> elapsed(snap.size(), -1.0);
+    for (const auto& [payload, dt] : running_for) {
+      const auto it = std::lower_bound(
+          snap.begin(), snap.end(), payload,
+          [](const auto& e, std::uint64_t p) { return e.first < p; });
+      if (it != snap.end() && it->first == payload)
+        elapsed[static_cast<std::size_t>(it - snap.begin())] = dt;
+    }
     w.u64(snap.size());
-    for (const auto& [payload, ls] : snap) {
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+      const auto& [payload, ls] = snap[i];
       double progress = ls.progress;
-      const auto it = running_for.find(payload);
-      if (it != running_for.end())
-        progress =
-            std::min(ls.target, ls.progress + ls.rate_per_s * it->second);
+      if (elapsed[i] >= 0)
+        progress = std::min(ls.target, ls.progress + ls.rate_per_s * elapsed[i]);
       w.u64(payload);
       w.u8(ls.is_aa ? 1 : 0);
       w.f64(ls.target);
@@ -651,11 +679,8 @@ void Campaign::run_one(int nodes, double walltime_h, CampaignResult& result,
       w.f64(ls.rate_per_s);
       w.f64(ls.size);
     }
-    write_u64_list(w, fly_cg);
-    write_u64_list(w, fly_aa);
-    write_u64_list(w, fly_cg_setup);
-    write_u64_list(w, fly_aa_setup);
-    w.bytes(wm.serialize());
+    for (const auto& list : fly) write_u64_list(w, list);
+    w.bytes(wm.serialize(with_selectors));
 
     // Result accumulators. The profiler timeline and feedback iteration
     // stats are diagnostics, not campaign state, and are not checkpointed.
@@ -697,13 +722,55 @@ void Campaign::run_one(int nodes, double walltime_h, CampaignResult& result,
     // resumed campaign must keep merging RDFs into the same totals).
     w.u64(result.analysis_frames);
     w.bytes(result.rdf_feedback.serialize());
+  };
 
-    util::CheckpointFile(config_.checkpoint_path).save(std::move(w).take());
+  // A base when this process has none yet or the journal outgrew
+  // kJournalCompactFraction of it; otherwise one journal record.
+  auto save_checkpoint = [&] {
+    static obs::Counter& bytes_written =
+        obs::counter("wm.checkpoint.bytes_written");
+    static obs::Counter& compactions = obs::counter("wm.checkpoint.compactions");
+    const bool base =
+        !journal_.have_base ||
+        static_cast<double>(journal_.journal_bytes) >
+            kJournalCompactFraction * static_cast<double>(journal_.base_bytes);
+    util::ByteWriter w;
+    if (base) {
+      encode_state(w, /*with_selectors=*/true);
+      // The base holds every logged mutation; the logs restart from it.
+      (void)patch_selector_->take_log();
+      (void)frame_selector_->take_log();
+      const util::Bytes payload = std::move(w).take();
+      journal_.base = util::CheckpointFile(config_.checkpoint_path).save(payload);
+      // A crash here leaves the old journal naming the previous base; load
+      // ignores it and resumes from the base just written.
+      util::crash_point("wm.checkpoint.compact.pre_reset");
+      util::CheckpointJournal(journal_path()).reset();
+      journal_.have_base = true;
+      journal_.base_bytes = payload.size();
+      journal_.journal_bytes = 0;
+      journal_.next_seq = 0;
+      bytes_written.inc(payload.size());
+      compactions.inc();
+      return;
+    }
+    w.bytes(patch_selector_->take_log());
+    w.bytes(frame_selector_->take_log());
+    encode_state(w, /*with_selectors=*/false);
+    const std::size_t n = util::CheckpointJournal(journal_path())
+                              .append(journal_.base, journal_.next_seq,
+                                      std::move(w).take());
+    ++journal_.next_seq;
+    journal_.journal_bytes += n;
+    bytes_written.inc(n);
   };
 
   std::function<void()> checkpoint_tick;
   if (config_.checkpoint_interval_s > 0 && !config_.checkpoint_path.empty()) {
     checkpoint_tick = [&] {
+      static obs::HistogramMetric& save_s =
+          obs::histogram("wm.checkpoint_s", 0.0, 1.0, 50);
+      static obs::Counter& saves = obs::counter("wm.checkpoints");
       ++result.checkpoints_written;
       {
         // Checkpoint serialization is real wall-clock work inside the
@@ -716,10 +783,9 @@ void Campaign::run_one(int nodes, double walltime_h, CampaignResult& result,
         util::crash_point("wm.checkpoint.pre");
         save_checkpoint();
         util::crash_point("wm.checkpoint.post");
-        obs::histogram("wm.checkpoint_s", 0.0, 1.0, 50)
-            .observe(span.elapsed_us() * 1e-6);
+        save_s.observe(span.elapsed_us() * 1e-6);
       }
-      obs::counter("wm.checkpoints").inc();
+      saves.inc();
       engine.schedule_after(config_.checkpoint_interval_s, checkpoint_tick);
     };
     engine.schedule_after(config_.checkpoint_interval_s, checkpoint_tick);
@@ -809,13 +875,9 @@ void Campaign::run_one(int nodes, double walltime_h, CampaignResult& result,
   campaign_hours_done += walltime_h;
 }
 
-std::optional<std::uint64_t> Campaign::try_load_checkpoint(
-    CampaignResult& result) {
-  if (config_.checkpoint_path.empty()) return std::nullopt;
-  const auto blob = util::CheckpointFile(config_.checkpoint_path).load();
-  if (!blob) return std::nullopt;
-
-  util::ByteReader r(*blob);
+std::uint64_t Campaign::decode_state(util::ByteReader& r,
+                                     CampaignResult& result,
+                                     ResumeState& rs) {
   const auto version = r.u32();
   if (version != kCheckpointVersion)
     throw util::FormatError("unknown campaign checkpoint version " +
@@ -823,7 +885,6 @@ std::optional<std::uint64_t> Campaign::try_load_checkpoint(
   const std::uint64_t flat_run = r.u64();
   r.f64();  // hours at run start; recomputed from the schedule on resume
 
-  ResumeState rs;
   rs.time_into_run_s = r.f64();
 
   util::Rng::State rst{};
@@ -834,7 +895,11 @@ std::optional<std::uint64_t> Campaign::try_load_checkpoint(
   next_patch_id_ = r.u64();
   next_frame_id_ = r.u64();
 
-  sims_.clear();
+  // A fresh map, not clear(): run() folds the sims still in flight in
+  // sims_'s iteration order, which follows the map's bucket history. Decoding
+  // a journal record after its base must leave the same map a campaign
+  // resuming from a single image builds.
+  sims_ = decltype(sims_)();
   const auto n_sims = r.u64();
   for (std::uint64_t i = 0; i < n_sims; ++i) {
     const std::uint64_t payload = r.u64();
@@ -877,11 +942,41 @@ std::optional<std::uint64_t> Campaign::try_load_checkpoint(
   result.supervision_log = read_str_list(r);
   result.analysis_frames = r.u64();
   result.rdf_feedback = coupling::RdfSet::deserialize(r.bytes());
+  return flat_run;
+}
+
+std::optional<std::uint64_t> Campaign::try_load_checkpoint(
+    CampaignResult& result) {
+  if (config_.checkpoint_path.empty()) return std::nullopt;
+  const auto base = util::CheckpointFile(config_.checkpoint_path).load_latest();
+  if (!base) return std::nullopt;
+  // Recovery order (DESIGN.md 4i): the newest valid base, then the valid
+  // prefix of the journal records that extend it; the newest record's state
+  // wins, and its selector logs replay on top of the base in run_one.
+  const auto records = util::CheckpointJournal(journal_path()).scan(base->id);
+
+  ResumeState rs;
+  util::ByteReader base_reader(base->payload);
+  std::uint64_t flat_run = decode_state(base_reader, result, rs);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    util::ByteReader r(records[i]);
+    rs.patch_logs.push_back(r.bytes());
+    rs.frame_logs.push_back(r.bytes());
+    if (i + 1 < records.size()) continue;
+    ResumeState tail;
+    flat_run = decode_state(r, result, tail);
+    tail.wm_tail = std::move(tail.wm_blob);
+    tail.wm_blob = std::move(rs.wm_blob);
+    tail.patch_logs = std::move(rs.patch_logs);
+    tail.frame_logs = std::move(rs.frame_logs);
+    rs = std::move(tail);
+  }
   result.resumed_from_checkpoint = true;
 
   resume_ = std::move(rs);
   util::log_info("campaign: resuming run ", flat_run, " from checkpoint ",
-                 config_.checkpoint_path, " (", resume_->time_into_run_s,
+                 config_.checkpoint_path, " + ", records.size(),
+                 " journal records (", resume_->time_into_run_s,
                  " s into the run)");
   return flat_run;
 }
@@ -906,6 +1001,12 @@ CampaignResult Campaign::run() {
   // holding tens of millions of event ids in memory.
   patch_selector_->set_history_enabled(false);
   frame_selector_->set_history_enabled(false);
+  // Journal records carry the selector mutation logs; a campaign that never
+  // checkpoints logs nothing.
+  const bool checkpoints =
+      config_.checkpoint_interval_s > 0 && !config_.checkpoint_path.empty();
+  patch_selector_->set_log_enabled(checkpoints);
+  frame_selector_->set_log_enabled(checkpoints);
 
   // Crash recovery: a checkpoint left by an interrupted campaign with this
   // config resumes the interrupted run with its remaining walltime.
@@ -963,8 +1064,11 @@ CampaignResult Campaign::run() {
   result.frames_selected = frame_selector_->selected_count();
 
   // The campaign finished; a stale checkpoint must not hijack the next one.
-  if (!config_.checkpoint_path.empty())
+  // The journal goes first: a journal without its base is ignored on load.
+  if (!config_.checkpoint_path.empty()) {
+    util::CheckpointJournal(journal_path()).reset();
     util::CheckpointFile(config_.checkpoint_path).remove();
+  }
   return result;
 }
 

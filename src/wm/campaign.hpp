@@ -20,6 +20,7 @@
 #include "event/sim_engine.hpp"
 #include "fault/crash_point.hpp"
 #include "fault/fault_plan.hpp"
+#include "util/checkpoint.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 #include "wm/perf_model.hpp"
@@ -215,16 +216,39 @@ class Campaign {
   /// the first run_one() of a resumed campaign.
   struct ResumeState {
     double time_into_run_s = 0;  // virtual seconds into the interrupted run
-    util::Bytes wm_blob;         // WorkflowManager::serialize() payload
+    util::Bytes wm_blob;         // base image's WorkflowManager::serialize()
+    // Selector mutation logs of the journal records after the base, in
+    // record order, and the newest record's WM state without selectors
+    // (empty when the base has no records).
+    std::vector<util::Bytes> patch_logs, frame_logs;
+    util::Bytes wm_tail;
     // Payloads in flight at checkpoint time, resumed ahead of fresh work.
     std::vector<std::uint64_t> inflight_cg, inflight_aa;
     std::vector<std::uint64_t> inflight_cg_setup, inflight_aa_setup;
   };
 
-  /// Loads config_.checkpoint_path if present, restoring campaign-level
-  /// state and `result` accumulators. Returns the interrupted flat run index
-  /// (nullopt = start fresh).
+  /// Loads config_.checkpoint_path (base image plus journal) if present,
+  /// restoring campaign-level state and `result` accumulators. Returns the
+  /// interrupted flat run index (nullopt = start fresh).
   std::optional<std::uint64_t> try_load_checkpoint(CampaignResult& result);
+  /// Decodes one campaign state image (a base, or the tail of a journal
+  /// record) into the campaign, `result` and `rs`; returns its flat run.
+  std::uint64_t decode_state(util::ByteReader& r, CampaignResult& result,
+                             ResumeState& rs);
+  [[nodiscard]] std::string journal_path() const {
+    return config_.checkpoint_path + ".journal";
+  }
+
+  /// What the checkpoint journal on disk extends. The first save of a
+  /// process always writes a base, so a resumed campaign never appends to a
+  /// journal it did not start.
+  struct JournalCursor {
+    bool have_base = false;
+    util::CheckpointId base;
+    std::size_t base_bytes = 0;     // base payload size
+    std::size_t journal_bytes = 0;  // records appended since
+    std::uint64_t next_seq = 0;
+  };
 
   CampaignConfig config_;
   util::Rng rng_;
@@ -239,6 +263,7 @@ class Campaign {
   std::uint64_t flat_run_ = 0;        // index into the flattened run schedule
   double resume_base_s_ = 0;          // checkpointed offset into current run
   std::optional<ResumeState> resume_; // consumed by the first resumed run
+  JournalCursor journal_;
 };
 
 }  // namespace mummi::wm

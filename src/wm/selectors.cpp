@@ -1,8 +1,50 @@
 #include "wm/selectors.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "util/error.hpp"
 
 namespace mummi::wm {
+
+namespace {
+// Mutation-log ops (checkpoint journals).
+constexpr std::uint8_t kLogAdd = 'A';
+constexpr std::uint8_t kLogSelect = 'S';
+constexpr std::uint8_t kLogRanks = 'R';
+
+// FrameSelector::default_edges(): tilt, rotation, separation.
+constexpr int kFrameDim = 3;
+
+void log_points(util::ByteWriter& w, int dim,
+                const std::vector<ml::HDPoint>& points) {
+  ml::PointStore store(dim);
+  store.reserve(points.size());
+  for (const auto& p : points) store.add(p);
+  store.serialize(w);
+}
+
+ml::PointStore read_points(util::ByteReader& r, int dim) {
+  auto store = ml::PointStore::deserialize(r);
+  if (store.dim() != dim)
+    throw util::FormatError("selector log: points of dimension " +
+                            std::to_string(store.dim()) + ", expected " +
+                            std::to_string(dim));
+  return store;
+}
+
+/// Reads a select record's count, refusing one the log cannot hold.
+std::uint64_t read_count(util::ByteReader& r, std::size_t bytes_each) {
+  const auto n = r.u64();
+  if (n > r.remaining() / bytes_each)
+    throw util::FormatError("selector log truncated (select)");
+  return n;
+}
+
+[[noreturn]] void diverged(const std::string& what) {
+  throw util::FormatError("selector log replay diverged: " + what);
+}
+}  // namespace
 
 PatchSelector::PatchSelector(int dim, int n_queues, std::size_t capacity)
     : dim_(dim), capacity_(capacity) {
@@ -16,16 +58,43 @@ void PatchSelector::add(int queue, const std::vector<ml::HDPoint>& points) {
   std::lock_guard lock(mutex_);
   MUMMI_CHECK_MSG(queue >= 0 && queue < n_queues(), "queue out of range");
   queues_[static_cast<std::size_t>(queue)]->add_candidates(points);
+  if (logging_) {
+    log_.u8(kLogAdd);
+    log_.u32(static_cast<std::uint32_t>(queue));
+    log_points(log_, dim_, points);
+  }
 }
 
 void PatchSelector::add(int queue, const ml::PointStore& points) {
   std::lock_guard lock(mutex_);
   MUMMI_CHECK_MSG(queue >= 0 && queue < n_queues(), "queue out of range");
   queues_[static_cast<std::size_t>(queue)]->add_candidates(points);
+  if (logging_) {
+    log_.u8(kLogAdd);
+    log_.u32(static_cast<std::uint32_t>(queue));
+    points.serialize(log_);
+  }
 }
 
 std::vector<PatchSelection> PatchSelector::select(std::size_t k) {
   std::lock_guard lock(mutex_);
+  auto out = select_locked(k);
+  if (logging_) log_select(k, out);
+  return out;
+}
+
+void PatchSelector::log_select(std::size_t k,
+                               const std::vector<PatchSelection>& out) {
+  log_.u8(kLogSelect);
+  log_.u64(k);
+  log_.u64(out.size());
+  for (const auto& pick : out) {
+    log_.u64(pick.point.id);
+    log_.u32(static_cast<std::uint32_t>(pick.queue));
+  }
+}
+
+std::vector<PatchSelection> PatchSelector::select_locked(std::size_t k) {
   const auto nq = queues_.size();
   // Round-robin across queues so every protein-configuration class keeps
   // getting representation. The walk is simulated against per-queue counts
@@ -34,10 +103,13 @@ std::vector<PatchSelection> PatchSelector::select(std::size_t k) {
   // batched select. Per-queue selection order is independent of the other
   // queues, so the interleaved result matches the per-pick loop exactly.
   std::vector<std::size_t> avail(nq), want(nq, 0);
-  for (std::size_t q = 0; q < nq; ++q)
+  std::size_t total_avail = 0;
+  for (std::size_t q = 0; q < nq; ++q) {
     avail[q] = std::min(queues_[q]->candidate_count(), capacity_);
+    total_avail += avail[q];
+  }
   std::vector<int> pick_order;
-  pick_order.reserve(k);
+  pick_order.reserve(std::min(k, total_avail));
   std::size_t empty_streak = 0;
   while (pick_order.size() < k && empty_streak < nq) {
     const auto q = static_cast<std::size_t>(next_queue_);
@@ -76,6 +148,7 @@ std::size_t PatchSelector::update_ranks() {
     q->update_ranks();
     total += q->candidate_count();
   }
+  if (logging_) log_.u8(kLogRanks);
   return total;
 }
 
@@ -111,11 +184,60 @@ void PatchSelector::restore(const util::Bytes& bytes) {
   for (std::size_t q = 0; q < queues_.size(); ++q)
     queues_[q] = std::make_unique<ml::FpsSampler>(
         ml::FpsSampler::deserialize(r.bytes()));
+  log_ = util::ByteWriter();  // mutations of the replaced state are moot
 }
 
 void PatchSelector::set_history_enabled(bool enabled) {
   std::lock_guard lock(mutex_);
   for (auto& q : queues_) q->set_history_enabled(enabled);
+}
+
+void PatchSelector::set_log_enabled(bool enabled) {
+  std::lock_guard lock(mutex_);
+  logging_ = enabled;
+  if (!enabled) log_ = util::ByteWriter();
+}
+
+util::Bytes PatchSelector::take_log() {
+  std::lock_guard lock(mutex_);
+  util::Bytes out = std::move(log_).take();
+  log_ = util::ByteWriter();
+  return out;
+}
+
+void PatchSelector::replay(const util::Bytes& log) {
+  std::lock_guard lock(mutex_);
+  util::ByteReader r(log);
+  while (!r.at_end()) {
+    const auto op = r.u8();
+    if (op == kLogAdd) {
+      const auto q = r.u32();
+      if (q >= queues_.size())
+        throw util::FormatError("selector log: queue " + std::to_string(q) +
+                                " out of range");
+      queues_[q]->add_candidates(read_points(r, dim_));
+    } else if (op == kLogSelect) {
+      const auto k = r.u64();
+      const auto n = read_count(r, sizeof(std::uint64_t) + sizeof(std::uint32_t));
+      const auto got = select_locked(k);
+      if (got.size() != n)
+        diverged("patch select(" + std::to_string(k) + ") returned " +
+                 std::to_string(got.size()) + " picks, log has " +
+                 std::to_string(n));
+      for (const auto& pick : got) {
+        const auto id = r.u64();
+        const auto q = r.u32();
+        if (pick.point.id != id || static_cast<std::uint32_t>(pick.queue) != q)
+          diverged("patch " + std::to_string(pick.point.id) + " from queue " +
+                   std::to_string(pick.queue) + ", log has " +
+                   std::to_string(id) + " from queue " + std::to_string(q));
+      }
+    } else if (op == kLogRanks) {
+      for (auto& q : queues_) q->update_ranks();
+    } else {
+      throw util::FormatError("selector log: unknown op " + std::to_string(op));
+    }
+  }
 }
 
 void FrameSelector::set_history_enabled(bool enabled) {
@@ -140,16 +262,31 @@ FrameSelector::FrameSelector(double importance, std::uint64_t seed)
 void FrameSelector::add(const std::vector<ml::HDPoint>& points) {
   std::lock_guard lock(mutex_);
   sampler_->add_candidates(points);
+  if (logging_) {
+    log_.u8(kLogAdd);
+    log_points(log_, kFrameDim, points);
+  }
 }
 
 void FrameSelector::add(const ml::PointStore& points) {
   std::lock_guard lock(mutex_);
   sampler_->add_candidates(points);
+  if (logging_) {
+    log_.u8(kLogAdd);
+    points.serialize(log_);
+  }
 }
 
 std::vector<ml::HDPoint> FrameSelector::select(std::size_t k) {
   std::lock_guard lock(mutex_);
-  return sampler_->select(k);
+  auto out = sampler_->select(k);
+  if (logging_) {
+    log_.u8(kLogSelect);
+    log_.u64(k);
+    log_.u64(out.size());
+    for (const auto& p : out) log_.u64(p.id);
+  }
+  return out;
 }
 
 std::size_t FrameSelector::candidate_count() const {
@@ -171,6 +308,47 @@ void FrameSelector::restore(const util::Bytes& bytes) {
   std::lock_guard lock(mutex_);
   sampler_ = std::make_unique<ml::BinnedSampler>(
       ml::BinnedSampler::deserialize(bytes));
+  log_ = util::ByteWriter();  // mutations of the replaced state are moot
+}
+
+void FrameSelector::set_log_enabled(bool enabled) {
+  std::lock_guard lock(mutex_);
+  logging_ = enabled;
+  if (!enabled) log_ = util::ByteWriter();
+}
+
+util::Bytes FrameSelector::take_log() {
+  std::lock_guard lock(mutex_);
+  util::Bytes out = std::move(log_).take();
+  log_ = util::ByteWriter();
+  return out;
+}
+
+void FrameSelector::replay(const util::Bytes& log) {
+  std::lock_guard lock(mutex_);
+  util::ByteReader r(log);
+  while (!r.at_end()) {
+    const auto op = r.u8();
+    if (op == kLogAdd) {
+      sampler_->add_candidates(read_points(r, kFrameDim));
+    } else if (op == kLogSelect) {
+      const auto k = r.u64();
+      const auto n = read_count(r, sizeof(std::uint64_t));
+      const auto got = sampler_->select(k);
+      if (got.size() != n)
+        diverged("frame select(" + std::to_string(k) + ") returned " +
+                 std::to_string(got.size()) + " picks, log has " +
+                 std::to_string(n));
+      for (const auto& p : got) {
+        const auto id = r.u64();
+        if (p.id != id)
+          diverged("frame " + std::to_string(p.id) + ", log has " +
+                   std::to_string(id));
+      }
+    } else {
+      throw util::FormatError("selector log: unknown op " + std::to_string(op));
+    }
+  }
 }
 
 }  // namespace mummi::wm

@@ -9,6 +9,15 @@
 // Thread safety matters because selectors are shared between the ML-selection
 // task and the feedback task ("thread-safe objects are used with a mix of
 // blocking and nonblocking locks").
+//
+// Checkpoint journals. Serializing a selector costs its whole candidate
+// history; a campaign that checkpoints instead logs every mutation (adds
+// with ids and coords, selections with the ids they returned) and writes
+// that log into each journal record (DESIGN.md 4i). Resume restores the
+// base image and replays the logs in order, verifying every selection
+// against its record — the paper's "elaborate history files that may be
+// replayed exactly" (Sec. 4.4). Logging is off by default, so a campaign
+// that never checkpoints copies nothing.
 #pragma once
 
 #include <memory>
@@ -59,8 +68,24 @@ class PatchSelector {
   /// Disables event-history recording (campaign-scale memory relief).
   void set_history_enabled(bool enabled);
 
+  /// Mutation logging for checkpoint journals (off by default). Turning it
+  /// off drops any unread log.
+  void set_log_enabled(bool enabled);
+  /// Hands over the mutations logged since the last call and starts a new
+  /// log.
+  [[nodiscard]] util::Bytes take_log();
+  /// Re-applies a take_log() log to the state it was taken from (nothing is
+  /// logged meanwhile). Throws util::FormatError on a malformed log or a
+  /// selection that differs from the one recorded.
+  void replay(const util::Bytes& log);
+
  private:
+  [[nodiscard]] std::vector<PatchSelection> select_locked(std::size_t k);
+  void log_select(std::size_t k, const std::vector<PatchSelection>& out);
+
   mutable std::mutex mutex_;
+  bool logging_ = false;
+  util::ByteWriter log_;
   std::vector<std::unique_ptr<ml::FpsSampler>> queues_;
   int next_queue_ = 0;
   int dim_;
@@ -85,10 +110,17 @@ class FrameSelector {
   /// Disables event-history recording (campaign-scale memory relief).
   void set_history_enabled(bool enabled);
 
+  /// Mutation logging for checkpoint journals; see PatchSelector.
+  void set_log_enabled(bool enabled);
+  [[nodiscard]] util::Bytes take_log();
+  void replay(const util::Bytes& log);
+
  private:
   static std::vector<std::vector<float>> default_edges();
 
   mutable std::mutex mutex_;
+  bool logging_ = false;
+  util::ByteWriter log_;
   std::unique_ptr<ml::BinnedSampler> sampler_;
 };
 

@@ -402,7 +402,7 @@ std::deque<std::uint64_t> read_deque(util::ByteReader& r) {
 }
 }  // namespace
 
-util::Bytes WorkflowManager::serialize() const {
+util::Bytes WorkflowManager::serialize(bool with_selectors) const {
   util::ByteWriter w;
   write_deque(w, ready_cg_);
   write_deque(w, ready_aa_);
@@ -413,8 +413,8 @@ util::Bytes WorkflowManager::serialize() const {
     w.u64(payload);
     w.u32(static_cast<std::uint32_t>(tries));
   }
-  w.bytes(patch_selector_.serialize());
-  w.bytes(frame_selector_.serialize());
+  w.bytes(with_selectors ? patch_selector_.serialize() : util::Bytes{});
+  w.bytes(with_selectors ? frame_selector_.serialize() : util::Bytes{});
   w.bytes(quarantine_.serialize());
   return std::move(w).take();
 }
@@ -425,16 +425,18 @@ void WorkflowManager::restore(const util::Bytes& bytes) {
   ready_aa_ = read_deque(r);
   requeued_cg_setup_ = read_deque(r);
   requeued_aa_setup_ = read_deque(r);
-  restarts_.clear();
+  // Fresh buckets, not clear(): the serialized order then depends only on
+  // the restored entries, however many restores came before.
+  restarts_ = decltype(restarts_)();
   const auto n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto payload = r.u64();
     restarts_[payload] = static_cast<int>(r.u32());
   }
   const util::Bytes patch_state = r.bytes();
-  patch_selector_.restore(patch_state);
+  if (!patch_state.empty()) patch_selector_.restore(patch_state);
   const util::Bytes frame_state = r.bytes();
-  frame_selector_.restore(frame_state);
+  if (!frame_state.empty()) frame_selector_.restore(frame_state);
   if (!r.at_end()) {  // blobs from before the supervision plane lack this
     const util::Bytes quarantine_state = r.bytes();
     quarantine_.restore(quarantine_state);

@@ -156,7 +156,10 @@ class WorkflowManager : public supervise::WorkloadControl {
   /// Full WM state to/from bytes: buffers, requeues, restart counts and both
   /// selectors — everything needed to "be restored completely after any such
   /// crash" (Sec. 4.4). Pair with util::CheckpointFile for armored disk I/O.
-  [[nodiscard]] util::Bytes serialize() const;
+  /// Without selectors their two slots are written empty; a checkpoint
+  /// journal carries their mutation logs instead (see selectors.hpp), and
+  /// restore() leaves a selector whose slot is empty as it is.
+  [[nodiscard]] util::Bytes serialize(bool with_selectors = true) const;
   void restore(const util::Bytes& bytes);
 
  private:

@@ -7,16 +7,20 @@
 // its fault plan over the *remaining* walltime, so a resumed run is not
 // byte-identical to an uninterrupted one and cannot be. What the durability
 // contract (DESIGN.md 4i) does promise is that every crash point maps to a
-// definite recovered checkpoint generation:
-//   - "pre" group (crash before the new frame is complete): the campaign
-//     resumes from generation k-1;
-//   - "post" group (crash once the new frame is durable): it resumes from
-//     generation k.
+// definite recovered checkpoint state:
+//   - "pre" group (crash before the tick's save is complete): the campaign
+//     resumes from the state of tick k-1;
+//   - "post" group (crash once the save is durable): it resumes from tick k.
 // All resumes within a group therefore recover the *same* durable state and,
 // being deterministic, must produce byte-identical science fingerprints.
 // Zero divergence within each group is the sweep's pass condition; the
 // pre-fix post_bak bug (load() preferring the stale .bak over the fully
 // written .tmp) shows up here as a post-group divergence.
+//
+// A checkpoint tick either appends one journal record or writes a base
+// image (the first save of a process, then a compaction whenever the journal
+// outgrew half the base), and each kind crosses its own boundaries, so the
+// sweep kills one tick of each kind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,18 +38,29 @@ namespace fs = std::filesystem;
 namespace mummi {
 namespace {
 
-// Boundaries on the campaign checkpoint path, by durability outcome at the
-// same tick k. Each fires exactly once per checkpoint tick, so "nth hit = k"
-// selects the same tick for every point.
-const std::vector<std::string> kPreGroup = {
+using Group = std::vector<std::string>;
+
+// Boundaries of an append tick and of a base (compaction) tick, by
+// durability outcome.
+const Group kAppendPre = {
+    "wm.checkpoint.pre",
+    "supervise.ledger.serialize",
+    "ckpt.journal.append.pre",
+    "ckpt.journal.append.mid",
+};
+const Group kAppendPost = {
+    "ckpt.journal.append.post",
+    "wm.checkpoint.post",
+};
+const Group kBasePre = {
     "wm.checkpoint.pre",   "supervise.ledger.serialize",
     "ckpt.save.pre_tmp",   "util.write_file.pre",
     "util.write_file.mid",
 };
-const std::vector<std::string> kPostGroup = {
-    "util.write_file.post", "ckpt.save.post_tmp",
-    "ckpt.save.post_bak",   "ckpt.save.post_rename",
-    "wm.checkpoint.post",
+const Group kBasePost = {
+    "util.write_file.post",  "ckpt.save.post_tmp",
+    "ckpt.save.post_bak",    "ckpt.save.post_rename",
+    "wm.checkpoint.compact.pre_reset", "wm.checkpoint.post",
 };
 
 wm::CampaignConfig sweep_config(const std::string& ckpt_path) {
@@ -62,12 +77,17 @@ wm::CampaignConfig sweep_config(const std::string& ckpt_path) {
   return cfg;
 }
 
+/// A base tick writes the checkpoint image; every other tick appends.
+bool is_base(const fault::HitSegment& tick) {
+  return tick.crossed("ckpt.save.pre_tmp");
+}
+
 TEST(CrashSweep, EveryPersistenceBoundaryRecoversWithinItsDurabilityGroup) {
   const auto dir = fs::temp_directory_path() /
                    ("mummi_sweep_" + std::to_string(::getpid()));
   fs::create_directories(dir);
 
-  // --- observe pass: which points fire, and how often -----------------------
+  // --- observe pass: which points fire, in which tick ----------------------
   fault::ScopedCrashHarness harness;
   auto& reg = harness.registry();
   {
@@ -76,24 +96,21 @@ TEST(CrashSweep, EveryPersistenceBoundaryRecoversWithinItsDurabilityGroup) {
     ASSERT_GT(result.checkpoints_written, 2u);
   }
   const auto observed = reg.hit_counts();
+  const auto ticks = fault::split_hit_order(
+      reg.hit_order(), "wm.checkpoint.pre", "wm.checkpoint.post");
+  ASSERT_GE(ticks.size(), 3u);
+  ASSERT_TRUE(is_base(ticks.front())) << "the first save must write a base";
 
-  // Coverage: the sweep must not silently skip an instrumented boundary.
-  // Each checkpoint-path point fires once per tick, so one nth selects the
-  // same tick across all of them. supervise.ledger.serialize alone also
-  // fires at run teardown (the in-memory CarryOver snapshot) — after every
-  // tick, so its first `ticks` hits still line up.
-  const std::uint64_t ticks = observed.count("wm.checkpoint.pre")
-                                  ? observed.at("wm.checkpoint.pre")
-                                  : 0;
-  ASSERT_GE(ticks, 2u);
-  for (const auto& group : {kPreGroup, kPostGroup})
-    for (const auto& point : group) {
-      ASSERT_TRUE(observed.count(point)) << "never observed: " << point;
-      if (point == "supervise.ledger.serialize")
-        EXPECT_GE(observed.at(point), ticks) << point;
-      else
-        EXPECT_EQ(observed.at(point), ticks) << point;
-    }
+  // Coverage: every tick crosses every boundary of its kind, so the sweep
+  // cannot silently skip an instrumented one.
+  for (std::size_t t = 0; t < ticks.size(); ++t)
+    for (const auto* group :
+         is_base(ticks[t])
+             ? std::vector<const Group*>{&kBasePre, &kBasePost}
+             : std::vector<const Group*>{&kAppendPre, &kAppendPost})
+      for (const auto& point : *group)
+        EXPECT_TRUE(ticks[t].crossed(point))
+            << "tick " << t + 1 << " never crossed " << point;
 
   // ...and every registered name must be a known one (catches typos between
   // instrumentation sites and the kCrashPoints roster).
@@ -104,40 +121,59 @@ TEST(CrashSweep, EveryPersistenceBoundaryRecoversWithinItsDurabilityGroup) {
               std::end(fault::kCrashPoints))
         << "unregistered crash point: " << point;
 
-  // --- sweep: crash at tick k at every point, resume, fingerprint -----------
-  // Pick the tick with a seeded draw over [2, ticks] (tick 1 has no previous
-  // generation to fall back to, which is a different — also covered —
+  // --- pick one append tick and one compaction tick ------------------------
+  // Seeded draws over the ticks of each kind after the first (tick 1 has no
+  // previous state to fall back to, which is a different — also covered —
   // scenario than the steady-state one this sweep locks down).
+  std::vector<std::size_t> appends, compactions;
+  for (std::size_t t = 1; t < ticks.size(); ++t)
+    (is_base(ticks[t]) ? compactions : appends).push_back(t);
+  ASSERT_FALSE(appends.empty()) << "no journal append tick to kill";
+  ASSERT_FALSE(compactions.empty()) << "no compaction tick to kill";
   util::Rng rng(0xfeed5eed);
-  const std::uint64_t k = 2 + rng.uniform_index(ticks - 1);
+  const auto& append_tick = ticks[appends[rng.uniform_index(appends.size())]];
+  const auto& compact_tick =
+      ticks[compactions[rng.uniform_index(compactions.size())]];
 
-  std::map<std::string, util::Bytes> fingerprints;
+  // --- sweep: crash at every boundary of both ticks, resume, fingerprint ----
+  struct Shot {
+    const fault::HitSegment* tick;
+    const Group* group;
+    const char* name;
+  };
+  const Shot shots[] = {
+      {&append_tick, &kAppendPre, "append/pre"},
+      {&append_tick, &kAppendPost, "append/post"},
+      {&compact_tick, &kBasePre, "compaction/pre"},
+      {&compact_tick, &kBasePost, "compaction/post"},
+  };
   int run_idx = 0;
-  for (const auto& group : {kPreGroup, kPostGroup})
-    for (const auto& point : group) {
+  for (const auto& shot : shots) {
+    std::map<std::string, util::Bytes> fingerprints;
+    for (const auto& point : *shot.group) {
       const std::string ckpt =
           (dir / ("sweep_" + std::to_string(run_idx++) + ".ckpt")).string();
       auto cfg = sweep_config(ckpt);
       reg.reset();
-      reg.arm(point, k);
+      reg.arm(point, shot.tick->nth.at(point));
       EXPECT_THROW((void)wm::Campaign(cfg).run(), wm::SimulatedCrash)
-          << point;
-      ASSERT_TRUE(reg.fired()) << point;
+          << shot.name << " " << point;
+      ASSERT_TRUE(reg.fired()) << shot.name << " " << point;
       reg.disarm();
       // The restarted coordination process: same config, fresh Campaign.
       const auto result = wm::Campaign(cfg).run();
-      EXPECT_TRUE(result.resumed_from_checkpoint) << point;
-      EXPECT_GT(result.patches_selected, 0u) << point;
+      EXPECT_TRUE(result.resumed_from_checkpoint) << shot.name << " " << point;
+      EXPECT_GT(result.patches_selected, 0u) << shot.name << " " << point;
       fingerprints[point] = result.science_fingerprint();
     }
 
-  // --- verdict: zero divergence within each durability group ----------------
-  for (const auto& group : {kPreGroup, kPostGroup}) {
-    const auto& reference = fingerprints.at(group.front());
+    // --- verdict: zero divergence within each durability group --------------
+    const auto& reference = fingerprints.at(shot.group->front());
     EXPECT_FALSE(reference.empty());
-    for (const auto& point : group)
+    for (const auto& point : *shot.group)
       EXPECT_EQ(fingerprints.at(point), reference)
-          << point << " diverged from " << group.front();
+          << shot.name << ": " << point << " diverged from "
+          << shot.group->front();
   }
 
   fs::remove_all(dir);

@@ -138,5 +138,29 @@ TEST(GoldenFingerprintContract, CheckpointResumeCampaign) {
   check_golden("checkpoint_resume", resumed);
 }
 
+TEST(GoldenFingerprintContract, JournalResumeCampaign) {
+  // Four allocations with a save every 300 s: the crash lands after several
+  // journal records on top of a compacted base, in the third allocation, so
+  // resume replays selector logs written across allocation boundaries. The
+  // pinned value was first produced by a single-image resume at the same
+  // tick; base + journal must reproduce it.
+  const auto dir = fs::temp_directory_path() /
+                   ("mummi_golden_journal_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  auto cfg = golden_plain();
+  cfg.runs = {{20, 1, 4}};
+  cfg.proteins_per_snapshot = 60;
+  cfg.seed = 2024;
+  cfg.checkpoint_interval_s = 300;
+  cfg.checkpoint_path = (dir / "campaign.ckpt").string();
+  cfg.crash_at_campaign_h = 2.9;
+  EXPECT_THROW(wm::Campaign(cfg).run(), wm::SimulatedCrash);
+  cfg.crash_at_campaign_h = 0;
+  const auto resumed = wm::Campaign(cfg).run();
+  EXPECT_TRUE(resumed.resumed_from_checkpoint);
+  fs::remove_all(dir);
+  check_golden("journal_resume", resumed);
+}
+
 }  // namespace
 }  // namespace mummi

@@ -11,8 +11,11 @@
 #include "datastore/red_store.hpp"
 #include "datastore/resilient_kv.hpp"
 #include "fault/fault_injector.hpp"
+#include "fault/crash_point.hpp"
 #include "feedback/aa2cg.hpp"
+#include "obs/metrics.hpp"
 #include "util/bytes.hpp"
+#include "util/crashpoint.hpp"
 #include "util/checkpoint.hpp"
 #include "util/error.hpp"
 #include "wm/campaign.hpp"
@@ -213,6 +216,122 @@ TEST(Resilience, CrashRestartResumesFromCheckpoint) {
   EXPECT_GT(result.cg_total_us, 0.0);
   // Success clears the checkpoint so the next campaign starts fresh.
   EXPECT_FALSE(std::filesystem::exists(ckpt_path));
+  EXPECT_FALSE(std::filesystem::exists(ckpt_path + ".journal"));
+  std::filesystem::remove_all(dir);
+}
+
+// --- base + journal checkpoints (DESIGN.md 4i) ------------------------------
+
+wm::CampaignConfig journal_config(const std::string& ckpt_path) {
+  wm::CampaignConfig cfg;
+  cfg.runs = {{20, 1, 4}};
+  cfg.proteins_per_snapshot = 60;
+  cfg.perf.createsim_mean_s = 900;
+  cfg.seed = 19;
+  cfg.checkpoint_interval_s = 300;
+  cfg.checkpoint_path = ckpt_path;
+  return cfg;
+}
+
+/// Runs `cfg` until the `nth` hit of `point` and crashes there; returns the
+/// checkpoint tick the crash interrupted (1-based).
+std::uint64_t crash_at(const wm::CampaignConfig& cfg, const char* point,
+                       std::uint64_t nth) {
+  fault::ScopedCrashHarness harness;
+  harness.registry().arm(point, nth);
+  EXPECT_THROW((void)wm::Campaign(cfg).run(), wm::SimulatedCrash);
+  EXPECT_TRUE(harness.registry().fired());
+  return harness.registry().hits("wm.checkpoint.pre");
+}
+
+TEST(Resilience, JournalRecordBytesStayBoundedAsHistoryGrows) {
+  // Bytes written per save, from the obs counters at every checkpoint tick:
+  // the base grows with the selector history; a journal record does not.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("mummi_journal_bytes_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const auto cfg = journal_config((dir / "campaign.ckpt").string());
+  const auto& written = obs::counter("wm.checkpoint.bytes_written");
+  const auto& compactions = obs::counter("wm.checkpoint.compactions");
+  std::vector<double> records, bases;
+  std::uint64_t bytes_before = 0, compactions_before = 0;
+  util::set_crash_point_hook([&](const char* point) {
+    const std::string p(point);
+    if (p == "wm.checkpoint.pre") {
+      bytes_before = written.value();
+      compactions_before = compactions.value();
+    } else if (p == "wm.checkpoint.post") {
+      const auto bytes = static_cast<double>(written.value() - bytes_before);
+      (compactions.value() > compactions_before ? bases : records)
+          .push_back(bytes);
+    }
+  });
+  const auto result = wm::Campaign(cfg).run();
+  util::set_crash_point_hook({});
+  std::filesystem::remove_all(dir);
+
+  ASSERT_EQ(records.size() + bases.size(), result.checkpoints_written);
+  ASSERT_GE(records.size(), 20u);
+  ASSERT_GE(bases.size(), 2u);
+  // The history grew: the last base is over ten times the first (~23x)...
+  EXPECT_GT(bases.back(), 10.0 * bases.front());
+  // ...while no record reaches three times the first one (~2x: the small
+  // state still carries the per-sim result vectors, a few bytes per
+  // finished sim) or a tenth of the newest base.
+  for (const double r : records) {
+    EXPECT_LT(r, 3.0 * records.front());
+    EXPECT_LT(r, 0.1 * bases.back());
+  }
+}
+
+TEST(Resilience, TornJournalTailResumesLikeThePreviousSave) {
+  // Damage the newest journal record: resume keeps what precedes it, which
+  // is exactly the state a crash right after the previous save recovers.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("mummi_journal_torn_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const auto torn_cfg = journal_config((dir / "torn.ckpt").string());
+  const auto clean_cfg = journal_config((dir / "clean.ckpt").string());
+
+  const std::uint64_t tick =
+      crash_at(torn_cfg, "ckpt.journal.append.post", 6);
+  ASSERT_GE(tick, 2u);
+  const std::string journal = torn_cfg.checkpoint_path + ".journal";
+  auto raw = util::read_file(journal);
+  ASSERT_TRUE(raw.has_value());
+  ASSERT_FALSE(raw->empty());
+  raw->back() ^= 0x40;  // last payload byte of the newest record
+  util::write_file(journal, *raw);
+  const auto torn = wm::Campaign(torn_cfg).run();
+
+  crash_at(clean_cfg, "wm.checkpoint.post", tick - 1);
+  const auto clean = wm::Campaign(clean_cfg).run();
+
+  EXPECT_TRUE(torn.resumed_from_checkpoint);
+  EXPECT_TRUE(clean.resumed_from_checkpoint);
+  EXPECT_EQ(torn.science_fingerprint(), clean.science_fingerprint());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Resilience, JournalThatSkipsARecordFailsReplayWithFormatError) {
+  // Re-sequence the journal without its first record: every record still
+  // passes its checksum, but the selector logs no longer start from the
+  // base, so replay must catch the divergence instead of resuming from a
+  // state that never existed.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("mummi_journal_gap_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const auto cfg = journal_config((dir / "gap.ckpt").string());
+  crash_at(cfg, "ckpt.journal.append.post", 4);
+  const auto base = util::CheckpointFile(cfg.checkpoint_path).load_latest();
+  ASSERT_TRUE(base.has_value());
+  util::CheckpointJournal journal(cfg.checkpoint_path + ".journal");
+  const auto records = journal.scan(base->id);
+  ASSERT_GE(records.size(), 2u);
+  journal.reset();
+  for (std::size_t i = 1; i < records.size(); ++i)
+    (void)journal.append(base->id, i - 1, records[i]);
+  EXPECT_THROW((void)wm::Campaign(cfg).run(), util::FormatError);
   std::filesystem::remove_all(dir);
 }
 

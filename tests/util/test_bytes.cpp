@@ -2,8 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "mdengine/system.hpp"
+
 namespace mummi::util {
 namespace {
+
+// ByteWriter::vec copies elements raw, so it accepts only arithmetic types
+// and packed records that opt in; a type with padding does not compile.
+template <typename T>
+constexpr bool kVecWritable =
+    requires(ByteWriter w, const std::vector<T>& v) { w.vec(v); };
+
+struct Padded {
+  std::int32_t a;  // 4 padding bytes follow
+  double b;
+};
+
+static_assert(kVecWritable<double> && kVecWritable<std::uint32_t> &&
+              kVecWritable<std::int32_t> && kVecWritable<float>);
+static_assert(kVecWritable<md::Vec3> && kVecWritable<md::Bond>);
+static_assert(!kVecWritable<Padded>);
+static_assert(!kVecWritable<md::Angle>);  // padded: written field by field
+static_assert(!kVecWritable<std::pair<double, double>>);
 
 TEST(Bytes, ScalarRoundTrip) {
   ByteWriter w;

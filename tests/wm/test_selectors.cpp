@@ -142,5 +142,177 @@ TEST(FrameSelector, DescriptorRangesLandInDistinctBins) {
   EXPECT_EQ(picks.size(), 2u);
 }
 
+// --- mutation logs for checkpoint journals ---------------------------------
+
+std::vector<ml::HDPoint> frames3d(int n, ml::PointId base) {
+  std::vector<ml::HDPoint> out;
+  for (int i = 0; i < n; ++i)
+    out.push_back({base + static_cast<ml::PointId>(i),
+                   {static_cast<float>((i * 7) % 90),
+                    static_cast<float>((i * 37) % 360),
+                    0.1f * static_cast<float>(i % 30)}});
+  return out;
+}
+
+/// A base image, then a run of logged mutations over both add overloads,
+/// batched selects and a rank refresh.
+struct LoggedPatches {
+  PatchSelector live{9, 3, 40};
+  util::Bytes base;
+  util::Bytes log;
+
+  LoggedPatches() {
+    for (int q = 0; q < 3; ++q) live.add(q, points9d(10, q * 100u, q * 1.0f));
+    (void)live.select(4);
+    base = live.serialize();
+    live.set_log_enabled(true);
+    ml::PointStore flat(9);
+    float c[9];
+    for (int i = 0; i < 30; ++i) {
+      for (int d = 0; d < 9; ++d) c[d] = 0.37f * static_cast<float>(i + d);
+      flat.add(1000 + static_cast<ml::PointId>(i), c);
+    }
+    live.add(1, flat);
+    (void)live.select(7);
+    live.add(2, points9d(25, 2000, 3.5f));
+    (void)live.update_ranks();
+    (void)live.select(100);  // more than the pools hold
+    log = live.take_log();
+  }
+};
+
+TEST(SelectorLog, OffByDefaultAndOffLogsNothing) {
+  PatchSelector patches(9, 2, 100);
+  patches.add(0, points9d(5, 0, 0.0f));
+  (void)patches.select(2);
+  EXPECT_TRUE(patches.take_log().empty());
+  FrameSelector frames(0.8, 3);
+  frames.add(frames3d(5, 0));
+  (void)frames.select(2);
+  EXPECT_TRUE(frames.take_log().empty());
+}
+
+TEST(SelectorLog, PatchReplayReproducesTheLiveSelector) {
+  LoggedPatches run;
+  EXPECT_TRUE(run.live.take_log().empty()) << "take_log starts a new log";
+  PatchSelector replayed(9, 3, 40);
+  replayed.restore(run.base);
+  replayed.replay(run.log);
+  EXPECT_EQ(replayed.candidate_count(), run.live.candidate_count());
+  EXPECT_EQ(replayed.selected_count(), run.live.selected_count());
+  EXPECT_EQ(replayed.serialize(), run.live.serialize());
+  EXPECT_TRUE(replayed.take_log().empty()) << "replay must not log";
+  run.live.add(0, points9d(12, 5000, 0.25f));
+  replayed.add(0, points9d(12, 5000, 0.25f));
+  const auto a = run.live.select(9);
+  const auto b = replayed.select(9);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].point.id, b[i].point.id);
+    EXPECT_EQ(a[i].queue, b[i].queue);
+  }
+}
+
+TEST(SelectorLog, FrameReplayReproducesTheLiveSelector) {
+  FrameSelector live(0.8, 11);
+  live.add(frames3d(40, 0));
+  (void)live.select(5);
+  const auto base = live.serialize();
+  live.set_log_enabled(true);
+  ml::PointStore flat(3);
+  for (int i = 0; i < 20; ++i) {
+    const float c[3] = {static_cast<float>(i * 4), static_cast<float>(i * 17),
+                        0.15f * static_cast<float>(i)};
+    flat.add(500 + static_cast<ml::PointId>(i), c);
+  }
+  live.add(flat);
+  (void)live.select(12);
+  live.add(frames3d(15, 900));
+  (void)live.select(200);
+  const auto log = live.take_log();
+
+  FrameSelector replayed(0.8, 11);
+  replayed.restore(base);
+  replayed.replay(log);
+  EXPECT_EQ(replayed.serialize(), live.serialize());
+}
+
+TEST(SelectorLog, DivergentSelectionThrowsFormatError) {
+  LoggedPatches run;
+  // Replayed onto a different starting state, the first select picks other
+  // candidates than the log recorded.
+  PatchSelector other(9, 3, 40);
+  for (int q = 0; q < 3; ++q) other.add(q, points9d(10, q * 100u, q * 1.0f));
+  other.add(0, points9d(1, 77777, 9.0f));  // a far outlier FPS picks first
+  EXPECT_THROW(other.replay(run.log), util::FormatError);
+
+  FrameSelector frames(0.8, 11);
+  frames.add(frames3d(30, 0));
+  frames.set_log_enabled(true);
+  (void)frames.select(6);
+  const auto log = frames.take_log();
+  FrameSelector reseeded(0.8, 12);  // same candidates, another stream
+  reseeded.add(frames3d(30, 0));
+  EXPECT_THROW(reseeded.replay(log), util::FormatError);
+}
+
+TEST(SelectorLog, MalformedLogsThrowFormatError) {
+  const auto replay_fresh = [](const util::Bytes& log) {
+    PatchSelector sel(9, 3, 40);
+    for (int q = 0; q < 3; ++q) sel.add(q, points9d(10, q * 100u, q * 1.0f));
+    sel.replay(log);
+  };
+  util::ByteWriter unknown;
+  unknown.u8('Z');
+  EXPECT_THROW(replay_fresh(unknown.data()), util::FormatError);
+
+  util::ByteWriter bad_queue;
+  bad_queue.u8('A');
+  bad_queue.u32(3);
+  ml::PointStore(9).serialize(bad_queue);
+  EXPECT_THROW(replay_fresh(bad_queue.data()), util::FormatError);
+
+  util::ByteWriter bad_dim;
+  bad_dim.u8('A');
+  bad_dim.u32(0);
+  ml::PointStore(3).serialize(bad_dim);
+  EXPECT_THROW(replay_fresh(bad_dim.data()), util::FormatError);
+
+  util::ByteWriter zero_dim;
+  zero_dim.u8('A');
+  zero_dim.u32(0);
+  zero_dim.u32(0);
+  zero_dim.u64(0);
+  zero_dim.u64(0);
+  EXPECT_THROW(replay_fresh(zero_dim.data()), util::FormatError);
+
+  // A select record claiming more picks than the log holds is refused
+  // before anything is selected or allocated; so is an absurd k.
+  util::ByteWriter inflated;
+  inflated.u8('S');
+  inflated.u64(~std::uint64_t{0});
+  inflated.u64(std::uint64_t{1} << 60);
+  EXPECT_THROW(replay_fresh(inflated.data()), util::FormatError);
+  util::ByteWriter huge_k;
+  huge_k.u8('S');
+  huge_k.u64(~std::uint64_t{0});
+  huge_k.u64(0);
+  EXPECT_THROW(replay_fresh(huge_k.data()), util::FormatError);
+
+  // Every truncation of a valid log either replays a whole-op prefix or
+  // throws FormatError.
+  LoggedPatches run;
+  for (std::size_t cut = 0; cut < run.log.size(); ++cut) {
+    const util::Bytes torn(run.log.begin(),
+                           run.log.begin() + static_cast<long>(cut));
+    PatchSelector sel(9, 3, 40);
+    sel.restore(run.base);
+    try {
+      sel.replay(torn);
+    } catch (const util::FormatError&) {
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mummi::wm
