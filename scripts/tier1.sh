@@ -101,11 +101,13 @@ echo "=== tier 1: TSan build, supervision plane tests ==="
 
 echo "=== tier 1: TSan build, threaded MD engine tests ==="
 # The MD force engine scatters into per-block buffers from pool workers and
-# folds them on the caller; the neighbor build fills CSR rows the same way.
-# The determinism suite drives those paths at 2 and 8 workers — any cross-
-# block write or unsynchronized scratch access shows up here.
+# folds them on the caller; the neighbor build fills CSR rows the same way,
+# and the Langevin / Velocity-Verlet particle loops and the minimizer's
+# max-force scan and displacement run as blocked passes too. The
+# determinism suite drives those paths at 1/2/4/8 workers — any cross-block
+# write or unsynchronized scratch access shows up here.
 ./build-tsan/tests/mummi_tests \
-  --gtest_filter='*ParallelMd*:*NveDrift*'
+  --gtest_filter='*ParallelMd*:*NveDrift*:*Langevin*:*Minimize*'
 
 echo "=== tier 1: TSan build, threaded continuum engine tests ==="
 # The continuum engine runs the same scatter-into-block-buffers / fold-on-

@@ -270,8 +270,7 @@ void GridSim2D::advance_protein(std::size_t a, double fx, double fy) {
   const double l = config_.extent;
   // Counter-based stream: a pure function of (seed, protein, step), so the
   // update threads freely and resumes exactly from any checkpoint.
-  util::Rng prng(
-      detail::protein_stream_seed(config_.seed, a, step_count_));
+  util::Rng prng(util::stream_seed(config_.seed, a, step_count_));
   const double nx = p.x + d * fx * dt + step_sigma * prng.normal();
   const double ny = p.y + d * fy * dt + step_sigma * prng.normal();
   // A blown-up field (unstable dt on a coarse grid) yields a non-finite

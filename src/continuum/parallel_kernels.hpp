@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -32,21 +31,6 @@ constexpr std::size_t row_block(std::size_t n) {
 /// protein count only.
 constexpr std::size_t protein_block(std::size_t p) {
   return util::det_block(p, 16, 8);
-}
-
-/// Counter-based per-protein RNG stream seed: a splitmix64-style avalanche
-/// over (campaign seed, protein index, step index). Each protein draws from
-/// its own short-lived stream each step, so protein updates thread freely,
-/// replay bit-identically at any worker count, and survive checkpoint /
-/// restore (the stream is a pure function of persisted state — no hidden
-/// generator cursor to lose).
-inline std::uint64_t protein_stream_seed(std::uint64_t seed, std::uint64_t idx,
-                                         std::uint64_t step) {
-  std::uint64_t x = seed + 0x9e3779b97f4a7c15ULL * (idx + 1) +
-                    0xbf58476d1ce4e5b9ULL * (step + 1);
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 /// Periodic cell bins over protein positions: makes the soft-repulsion

@@ -20,7 +20,11 @@ struct GroNaming {
   [[nodiscard]] std::string name_for(int type) const {
     if (type >= 0 && static_cast<std::size_t>(type) < type_names.size())
       return type_names[static_cast<std::size_t>(type)];
-    return "X" + std::to_string(type);
+    // Appended rather than `"X" + std::to_string(type)`, on which GCC 12 at
+    // -O3 raises a false -Wrestrict.
+    std::string name = "X";
+    name += std::to_string(type);
+    return name;
   }
 };
 

@@ -1,10 +1,20 @@
-// Time integrators.
+// Time integrators and the steepest-descent minimizer.
+//
+// Every particle loop runs through util::for_blocks on the caller's pool with
+// block boundaries that depend on the particle count only, and each particle
+// touches only its own state, so a trajectory is bit-identical at any worker
+// count (DESIGN.md 4h).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 
 #include "mdengine/system.hpp"
 #include "util/rng.hpp"
+
+namespace mummi::util {
+class ThreadPool;
+}  // namespace mummi::util
 
 namespace mummi::md {
 
@@ -18,6 +28,13 @@ class Integrator {
   /// Advances one step of length dt; returns the potential energy at the
   /// end-of-step configuration.
   virtual real step(System& system, const ForceFn& forces, real dt) = 0;
+
+  /// Pool the particle loops fan out over (null: serial). Simulation sets
+  /// the pool it resolved for the force kernels.
+  void set_pool(util::ThreadPool* pool) { pool_ = pool; }
+
+ protected:
+  util::ThreadPool* pool_ = nullptr;
 };
 
 /// Plain velocity Verlet (NVE).
@@ -31,11 +48,15 @@ class VelocityVerlet final : public Integrator {
 
 /// Langevin dynamics via the BAOAB splitting — the thermostatted workhorse
 /// for CG/AA production runs (plays the role of ddcMD's Martini integrator).
+/// Particle i's noise at step s comes from its own counter-based stream,
+/// util::Rng(util::stream_seed(seed, i, s)), with `seed` drawn once from
+/// `rng` and s counting this integrator's steps — so the O step threads
+/// freely and the trajectory does not depend on the worker count.
 class Langevin final : public Integrator {
  public:
   /// `temperature` in K, `gamma` friction in 1/ps.
   Langevin(real temperature, real gamma, util::Rng rng)
-      : temperature_(temperature), gamma_(gamma), rng_(rng) {}
+      : temperature_(temperature), gamma_(gamma), seed_(rng()) {}
 
   real step(System& system, const ForceFn& forces, real dt) override;
 
@@ -45,15 +66,20 @@ class Langevin final : public Integrator {
  private:
   real temperature_;
   real gamma_;
-  util::Rng rng_;
+  std::uint64_t seed_;
+  std::uint64_t steps_ = 0;  // steps taken: the noise streams' step key
   bool have_forces_ = false;
 };
 
 /// Steepest-descent energy minimization with adaptive step size (the
 /// GROMACS-relaxation stand-in used by createsim and backmapping).
 /// Returns the final potential energy; stops early when the maximum force
-/// falls below `f_tol` (kJ/mol/nm).
+/// falls below `f_tol` (kJ/mol/nm). A rejected trial move restores the saved
+/// positions and forces together, so it costs no second force evaluation.
+/// The max-force scan and the displacement run through `pool` (null:
+/// serial); the result is the same at any worker count.
 real minimize(System& system, const ForceFn& forces, int max_steps,
-              real initial_step = 0.01, real f_tol = 10.0);
+              real initial_step = 0.01, real f_tol = 10.0,
+              util::ThreadPool* pool = nullptr);
 
 }  // namespace mummi::md

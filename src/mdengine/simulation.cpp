@@ -19,6 +19,7 @@ Simulation::Simulation(System system, std::shared_ptr<const ForceField> ff,
       pool_(config.pool != nullptr ? config.pool : default_md_pool()),
       neighbors_(ff_->cutoff(), config.skin) {
   MUMMI_CHECK(ff_ != nullptr && integrator_ != nullptr);
+  integrator_->set_pool(pool_);
   if (config_.checkpoint_interval > 0)
     MUMMI_CHECK_MSG(!config_.checkpoint_path.empty(),
                     "checkpointing enabled without a path");
@@ -66,7 +67,7 @@ void Simulation::run(long nsteps) {
 }
 
 real Simulation::minimize_energy(int max_steps, real f_tol) {
-  last_pe_ = minimize(system_, force_fn(), max_steps, 0.01, f_tol);
+  last_pe_ = minimize(system_, force_fn(), max_steps, 0.01, f_tol, pool_);
   return last_pe_;
 }
 

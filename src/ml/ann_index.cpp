@@ -116,7 +116,8 @@ void KdTreeIndex::rebuild() {
   MUMMI_CHECK_MSG(max_depth + 1 < kMaxStack, "kd-tree deeper than stack bound");
 }
 
-Neighbor KdTreeIndex::nearest_in_tree(std::span<const float> query) const {
+Neighbor KdTreeIndex::nearest_in_tree(std::span<const float> query,
+                                      Neighbor best) const {
   // Deferred-prune iterative descent: walk the near side in a tight loop and
   // stack the far side with its splitting-plane distance; a stacked subtree
   // is skipped at pop time if the best has since tightened past it. The
@@ -129,7 +130,6 @@ Neighbor KdTreeIndex::nearest_in_tree(std::span<const float> query) const {
   Frame stack[kMaxStack];
   int top = 0;
   stack[top++] = {root_, 0.0f};
-  Neighbor best{0, kInf};
   while (top > 0) {
     const Frame f = stack[--top];
     if (!(f.delta2 < best.dist2)) continue;
@@ -156,8 +156,19 @@ std::optional<Neighbor> KdTreeIndex::nearest(
   MUMMI_CHECK_MSG(static_cast<int>(query.size()) == dim_,
                   "query dimension mismatch");
   if (size() == 0) return std::nullopt;
-  Neighbor best{0, kInf};
-  if (root_ >= 0) best = nearest_in_tree(query);
+  return nearest_below(query, Neighbor{0, kInf});
+}
+
+float KdTreeIndex::nearest_dist2_below(std::span<const float> query,
+                                       float bound) const {
+  MUMMI_CHECK_MSG(static_cast<int>(query.size()) == dim_,
+                  "query dimension mismatch");
+  return nearest_below(query, Neighbor{0, bound}).dist2;
+}
+
+Neighbor KdTreeIndex::nearest_below(std::span<const float> query,
+                                    Neighbor best) const {
+  if (root_ >= 0) best = nearest_in_tree(query, best);
   for (std::size_t i = 0; i < buffer_.size(); ++i) {
     const float d2 = dist2(query, buffer_.coords(i));
     if (d2 < best.dist2) best = {buffer_.id(i), d2};

@@ -93,6 +93,13 @@ class KdTreeIndex final : public NnIndex {
     return tree_pts_.size() + buffer_.size();
   }
 
+  /// min(bound, nearest(query)->dist2), exactly, or `bound` when the index
+  /// is empty. The search starts with `bound` as its best distance, so it
+  /// prunes every subtree that cannot beat the bound — cheaper than
+  /// nearest() when the caller already holds a tight upper bound.
+  [[nodiscard]] float nearest_dist2_below(std::span<const float> query,
+                                          float bound) const;
+
   /// Folds the insert buffer into the tree now. Call before a query batch so
   /// every query runs on the O(log n) path instead of also scanning the
   /// buffer.
@@ -119,7 +126,11 @@ class KdTreeIndex final : public NnIndex {
   static constexpr int kMaxStack = 64;
 
   void rebuild();
-  [[nodiscard]] Neighbor nearest_in_tree(std::span<const float> query) const;
+  /// Nearest point closer than `best` (tree, then buffer), else `best`.
+  [[nodiscard]] Neighbor nearest_below(std::span<const float> query,
+                                       Neighbor best) const;
+  [[nodiscard]] Neighbor nearest_in_tree(std::span<const float> query,
+                                         Neighbor best) const;
   void search_knn(std::span<const float> query, std::vector<Neighbor>& best,
                   std::size_t k) const;
   static void push_candidate(std::vector<Neighbor>& best, std::size_t k,

@@ -95,9 +95,10 @@ void FpsSampler::refresh_slot(std::size_t slot, std::size_t n_sel) {
   float r = rank2_[slot];
   const auto c = pool_.coords(slot);
   if (n_sel - from > kKdBacklog && selected_index_.size() == n_sel) {
-    // One tree query spans the whole selected set; min-merging with the
-    // stored partial rank reproduces the full fold exactly (min is exact).
-    if (auto nn = selected_index_.nearest(c)) r = std::min(r, nn->dist2);
+    // One tree query spans the whole selected set, bounded by the stored
+    // partial rank: subtrees that cannot lower it are pruned, and the result
+    // equals the full fold exactly (min is exact).
+    r = selected_index_.nearest_dist2_below(c, r);
   } else {
     r = fold_min(c, selected_, from, n_sel, r);
   }

@@ -127,6 +127,21 @@ class Rng {
   double spare_ = 0.0;
 };
 
+/// Counter-based stream seed: a splitmix64-style avalanche over (seed, item
+/// index, step index). An item that draws from Rng(stream_seed(seed, i, step))
+/// has its own short-lived stream each step, with no shared generator cursor,
+/// so per-item updates thread freely, replay bit-identically at any worker
+/// count, and survive checkpoint/restore of anything that records the step.
+/// Drives the continuum protein kicks and the MD Langevin noise.
+inline std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t idx,
+                                 std::uint64_t step) {
+  std::uint64_t x = seed + 0x9e3779b97f4a7c15ULL * (idx + 1) +
+                    0xbf58476d1ce4e5b9ULL * (step + 1);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 inline double Rng::sqrt_m2log(double s) {
   return std::sqrt(-2.0 * std::log(s) / s);
 }

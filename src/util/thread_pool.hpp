@@ -1,6 +1,6 @@
 // Fixed-size worker pool with task futures, plus the one deterministic
-// blocked-parallel loop (for_blocks) and its per-block scatter buffer
-// (BlockScratch).
+// blocked-parallel loop (for_blocks, a fork-join over the same workers) and
+// its per-block scatter buffer (BlockScratch).
 //
 // This is the process-pool analogue of the paper's "tailored multiprocessing
 // pools" (Task 4) and also drives the thread-parallel force/field loops in
@@ -8,9 +8,12 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -22,10 +25,11 @@ namespace mummi::util {
 class ThreadPool {
  public:
   /// Pool of `nthreads` workers; 0 means std::thread::hardware_concurrency().
-  /// Worker threads are spawned lazily on the first `submit` — a pool whose
-  /// callers only ever take the inline paths (single worker, tiny ranges,
-  /// nested calls) never creates a thread, which keeps single-threaded
-  /// processes on the allocator's uncontended fast path.
+  /// Worker threads are spawned lazily on the first `submit` or parallel
+  /// for_blocks pass — a pool whose callers only ever take the inline paths
+  /// (single worker, tiny ranges, nested calls) never creates a thread,
+  /// which keeps single-threaded processes on the allocator's uncontended
+  /// fast path.
   explicit ThreadPool(std::size_t nthreads = 0);
   ~ThreadPool();
 
@@ -53,8 +57,36 @@ class ThreadPool {
   void wait_idle();
 
  private:
+  friend void for_blocks(ThreadPool*, std::size_t, std::size_t,
+                         const std::function<void(std::size_t, std::size_t)>&);
+
+  /// One fork-join pass of for_blocks, owned by the posting caller's frame.
+  /// Every participant claims blocks from `next` until it runs past
+  /// `nblocks`; a failing block's exception is kept only if it is the
+  /// lowest failing block so far (under the pool mutex).
+  struct Job {
+    Job(const std::function<void(std::size_t, std::size_t)>& f,
+        std::size_t n_items, std::size_t block_size, std::size_t blocks)
+        : fn(&f), n(n_items), block(block_size), nblocks(blocks),
+          error_block(blocks) {}
+
+    const std::function<void(std::size_t, std::size_t)>* fn;
+    std::size_t n, block, nblocks;
+    std::atomic<std::size_t> next{0};
+    std::size_t error_block;  // == nblocks while no block has failed
+    std::exception_ptr error;
+    std::size_t workers = 0;  // pool workers inside the pass (pool mutex)
+  };
+
   void worker_loop();
   void spawn_workers();
+  /// Posts `job` as the pool's one in-flight job and wakes up to
+  /// nblocks - 1 idle workers. False (nothing posted) if a job is in flight.
+  bool post(Job& job);
+  /// Claims and runs blocks of `job` until none are left.
+  void run_blocks(Job& job);
+  /// Waits until no worker is still inside `job`, then unposts it.
+  void join(Job& job);
 
   std::size_t target_ = 1;
   std::once_flag spawned_;
@@ -65,6 +97,9 @@ class ThreadPool {
   std::condition_variable idle_cv_;
   std::size_t active_ = 0;
   bool stop_ = false;
+  Job* job_ = nullptr;  // the in-flight for_blocks pass, if any
+  std::uint64_t job_gen_ = 0;  // bumped per post; a worker joins each once
+  std::condition_variable job_cv_;  // some Job::workers fell to 0
 };
 
 /// Process-level singleton pool for library internals (MD forces, DDFT
@@ -76,12 +111,16 @@ ThreadPool& global_pool();
 /// (n, block) only — never of the worker count — so a kernel that touches
 /// only state owned by its block, or folds per-block partials in ascending
 /// block order afterwards (BlockScratch), is bit-identical at any pool size.
-/// Blocks run serially in ascending order when pool is null, single-worker,
-/// the range is a single block, or the call is nested inside a pool task (no
-/// deadlock on a busy pool); otherwise one pool task per block, in
-/// unspecified order. If blocks throw, every block still finishes before the
-/// exception of the lowest-numbered failing block is rethrown, so no task
-/// outlives fn or the caller's locals it captures.
+///
+/// Blocks run serially in ascending order on the caller when pool is null,
+/// single-worker, the range is a single block, the call is nested inside a
+/// pool task or another for_blocks pass on this pool, or a different thread
+/// already has a pass in flight on it (no queueing behind a busy pool, no
+/// deadlock). Otherwise the call is a fork-join: the caller posts one job,
+/// wakes the idle workers once, and claims blocks from a shared counter
+/// alongside them, in unspecified order. If blocks throw, every block still
+/// finishes before the exception of the lowest-numbered failing block is
+/// rethrown, so no worker outlives fn or the caller's locals it captures.
 void for_blocks(ThreadPool* pool, std::size_t n, std::size_t block,
                 const std::function<void(std::size_t, std::size_t)>& fn);
 

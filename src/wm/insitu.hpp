@@ -81,7 +81,7 @@ class InSituPlane {
   [[nodiscard]] std::size_t active_sims() const { return states_.size(); }
 
   /// Counter-based per-(sim, tick, lane) stream seed — the continuum engine's
-  /// protein_stream_seed idiom: a splitmix64-style avalanche, so nearby sims
+  /// util::stream_seed idiom: a splitmix64-style avalanche, so nearby sims
   /// and ticks give uncorrelated streams without any shared RNG state.
   static std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t sim,
                                    std::uint64_t tick, std::uint64_t lane);

@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mummi::cont {
@@ -250,7 +251,7 @@ TEST(ParallelContinuum, ProteinStreamSeedsAreDistinct) {
   std::vector<std::uint64_t> seen;
   for (std::uint64_t idx = 0; idx < 64; ++idx)
     for (std::uint64_t step = 0; step < 64; ++step)
-      seen.push_back(detail::protein_stream_seed(42, idx, step));
+      seen.push_back(util::stream_seed(42, idx, step));
   std::sort(seen.begin(), seen.end());
   EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end()) == seen.end());
 }

@@ -4,6 +4,7 @@
 
 #include "mdengine/cell_list.hpp"
 #include "mdengine/force_field.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -160,6 +161,34 @@ TEST(Minimize, StopsAtForceTolerance) {
   minimize(s, forces.fn(), 100, 0.01, 10.0);
   // Already at the minimum: positions barely move.
   EXPECT_NEAR(s.box.min_image(s.pos[1], pos_before[1]).norm(), 0.0, 1e-3);
+}
+
+TEST(Minimize, RejectedStepCostsNoExtraForceEvaluation) {
+  // A stretched bond and a first trial step big enough to overshoot: the
+  // atoms cross, the energy does not drop, and the step is rejected. With
+  // f_tol = 0 the loop runs all K iterations, one trial evaluation each, so
+  // a minimizer that re-evaluated forces on rejection would call K + 1 +
+  // (rejections) times instead of K + 1.
+  System s;
+  s.box.length = {10, 10, 10};
+  s.add_particle({5.0, 5, 5}, 0, 1.0);
+  s.add_particle({5.9, 5, 5}, 0, 1.0);
+  s.bonds.push_back({0, 1, 0.5, 500.0});
+  int calls = 0;
+  const ForceFn fn = [&calls](System& sys) {
+    ++calls;
+    return compute_bonded(sys);
+  };
+  obs::Counter& evals = obs::counter("md.minimize.force_evals");
+  obs::Counter& rejections = obs::counter("md.minimize.rejections");
+  const auto evals0 = evals.value();
+  const auto rejections0 = rejections.value();
+  constexpr int kIters = 40;
+  minimize(s, fn, kIters, 0.5, 0.0);
+  EXPECT_EQ(calls, kIters + 1);
+  EXPECT_EQ(evals.value() - evals0, static_cast<std::uint64_t>(calls));
+  EXPECT_GE(rejections.value() - rejections0, 1u);
+  EXPECT_NEAR(s.box.min_image(s.pos[0], s.pos[1]).norm(), 0.5, 0.01);
 }
 
 TEST(Minimize, BondedChainRelaxesToRestLength) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "util/error.hpp"
@@ -93,6 +95,38 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(10, 2, 1), std::make_tuple(100, 3, 5),
                       std::make_tuple(500, 9, 10), std::make_tuple(1000, 9, 1),
                       std::make_tuple(64, 1, 3), std::make_tuple(200, 16, 4)));
+
+TEST(KdBoundProperty, NearestDist2BelowIsMinOfBoundAndNearest) {
+  // For random indexes (empty, buffer only, tree + buffer, flushed) and
+  // random queries, a bounded search must equal min(bound, nearest) exactly,
+  // for bounds below, at, just around and above the true nearest distance.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  util::Rng rng(2024);
+  for (const int dim : {1, 3, 9}) {
+    for (const int n : {0, 1, 50, 1500}) {
+      for (const bool flush : {false, true}) {
+        KdTreeIndex kd(dim);
+        for (const auto& p : random_points(n, dim, 7 * n + dim)) kd.add(p);
+        if (flush) kd.flush();
+        for (int trial = 0; trial < 100; ++trial) {
+          std::vector<float> q(static_cast<std::size_t>(dim));
+          for (auto& c : q) c = static_cast<float>(1.5 * rng.normal());
+          const auto nn = kd.nearest(q);
+          const float d = nn ? nn->dist2 : kInf;
+          const float scale = std::isfinite(d) ? d : 1.0f;
+          for (const float bound :
+               {0.0f, kInf, d, std::nextafter(d, 0.0f),
+                std::nextafter(d, kInf),
+                static_cast<float>(rng.uniform(0.0, 2.0)) * scale}) {
+            const float want = nn ? std::min(bound, d) : bound;
+            EXPECT_EQ(kd.nearest_dist2_below(q, bound), want)
+                << "dim " << dim << " n " << n << " bound " << bound;
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(KdTreeIndex, IncrementalAddsVisibleImmediately) {
   KdTreeIndex index(2);

@@ -7,7 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <future>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -251,6 +254,151 @@ TEST(ForBlocks, SerialExceptionStopsAtFailingBlock) {
                           }),
                std::runtime_error);
   EXPECT_EQ(los, (std::vector<std::size_t>{0, 2, 4}));
+}
+
+// Fork-join dispatch: the caller claims blocks alongside the workers, a
+// second caller finding a pass in flight runs inline, and nested calls run
+// inline wherever they start.
+
+/// Occupies every worker of `pool` with a task that blocks until release().
+class WorkerGate {
+ public:
+  explicit WorkerGate(ThreadPool& pool) {
+    for (std::size_t i = 0; i < pool.size(); ++i)
+      done_.push_back(pool.submit([this] {
+        ++entered_;
+        std::unique_lock lock(m_);
+        cv_.wait(lock, [this] { return open_; });
+      }));
+    while (entered_.load() < done_.size()) std::this_thread::yield();
+  }
+  ~WorkerGate() { release(); }
+  void release() {
+    {
+      std::lock_guard lock(m_);
+      open_ = true;
+    }
+    cv_.notify_all();
+    for (auto& f : done_) f.get();
+    done_.clear();
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  std::atomic<std::size_t> entered_{0};
+  std::vector<std::future<void>> done_;
+};
+
+TEST(ForBlocks, CallerRunsEveryBlockWhileWorkersAreBusy) {
+  // With every worker held by a task, a queue-and-wait dispatcher would
+  // hang; fork-join finishes because the caller claims all blocks itself.
+  ThreadPool pool(3);
+  WorkerGate gate(pool);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(100);
+  std::atomic<int> off_caller{0};
+  for_blocks(&pool, hits.size(), 7, [&](std::size_t lo, std::size_t hi) {
+    if (std::this_thread::get_id() != caller) ++off_caller;
+    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+  });
+  EXPECT_EQ(off_caller.load(), 0);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ForBlocks, CallerBlockExceptionStillRunsTheRestThenRethrowsLowest) {
+  // Workers busy, so the caller runs every block: a failing block does not
+  // stop the pass (as it would inline), and the lowest failure is rethrown.
+  ThreadPool pool(2);
+  WorkerGate gate(pool);
+  std::vector<std::size_t> ran;
+  try {
+    for_blocks(&pool, 10, 2, [&](std::size_t lo, std::size_t) {
+      ran.push_back(lo);
+      if (lo == 6 || lo == 2) throw std::runtime_error(std::to_string(lo));
+    });
+    ADD_FAILURE() << "for_blocks did not rethrow";
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(), "2");
+  }
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 2, 4, 6, 8}));
+}
+
+TEST(ForBlocks, SecondCallerOnABusyPoolRunsInlineWithSameBoundaries) {
+  // Caller A's pass holds the pool (each of its blocks waits for B); caller
+  // B must run its own blocks inline, in ascending order, on its thread.
+  ThreadPool pool(2);
+  std::promise<void> a_started, b_done;
+  std::shared_future<void> b_done_f = b_done.get_future().share();
+  std::once_flag started_once;
+  std::thread a([&] {
+    for_blocks(&pool, 2, 1, [&](std::size_t, std::size_t) {
+      std::call_once(started_once, [&] { a_started.set_value(); });
+      b_done_f.wait();
+    });
+  });
+  a_started.get_future().wait();
+  const auto b_thread = std::this_thread::get_id();
+  std::vector<std::pair<std::size_t, std::size_t>> seen;
+  bool all_on_b = true;
+  for_blocks(&pool, 10, 4, [&](std::size_t lo, std::size_t hi) {
+    all_on_b &= std::this_thread::get_id() == b_thread;
+    seen.emplace_back(lo, hi);
+  });
+  b_done.set_value();
+  a.join();
+  EXPECT_TRUE(all_on_b);
+  const std::vector<std::pair<std::size_t, std::size_t>> want{
+      {0, 4}, {4, 8}, {8, 10}};
+  EXPECT_EQ(seen, want);
+}
+
+TEST(ForBlocks, TwoThreadsSharingOnePoolBothGetCorrectResults) {
+  // Two non-worker callers hammer one pool at once: whichever finds it busy
+  // runs inline, so neither deadlocks and both sums come out exact.
+  ThreadPool pool(4);
+  auto hammer = [&pool](std::uint64_t seed) {
+    std::uint64_t bad = 0;
+    std::vector<std::uint64_t> part(64);
+    for (int rep = 0; rep < 300; ++rep) {
+      const std::size_t n = 200 + (seed * 7 + rep * 13) % 800;
+      std::fill(part.begin(), part.end(), 0);
+      for_blocks(&pool, n, 16, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) part[lo / 16] += i + seed;
+      });
+      const std::uint64_t got =
+          std::accumulate(part.begin(), part.end(), std::uint64_t{0});
+      if (got != n * (n - 1) / 2 + n * seed) ++bad;
+    }
+    return bad;
+  };
+  std::uint64_t bad_other = 0;
+  std::thread other([&] { bad_other = hammer(1000); });
+  const std::uint64_t bad_main = hammer(1);
+  other.join();
+  EXPECT_EQ(bad_main, 0u);
+  EXPECT_EQ(bad_other, 0u);
+}
+
+TEST(ForBlocks, NestedCallsRunInlineOnTheThreadThatMadeThem) {
+  // Blocks run by the caller and by workers each make a nested for_blocks
+  // on the same pool: every nested pass runs inline, ascending, on the
+  // thread that made it (the caller's own pass keeps the pool busy).
+  ThreadPool pool(3);
+  std::atomic<int> bad{0};
+  std::atomic<int> total{0};
+  for_blocks(&pool, 16, 1, [&](std::size_t, std::size_t) {
+    const auto outer = std::this_thread::get_id();
+    std::size_t expect_lo = 0;
+    for_blocks(&pool, 50, 8, [&](std::size_t lo, std::size_t hi) {
+      if (std::this_thread::get_id() != outer || lo != expect_lo) ++bad;
+      expect_lo = hi;
+      total += static_cast<int>(hi - lo);
+    });
+  });
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(total.load(), 16 * 50);
 }
 
 TEST(ForBlocks, DetBlockRule) {
